@@ -9,24 +9,43 @@ along the way does not depend on the order chosen, which is what makes
 it (and the lambda-sequence derived from it) an invariant worth
 computing.
 
-The decision procedure is a depth-first search over deletion states
-with two standing rules:
+Every backtracking search here runs through one driver,
+_deletion_sequences: a depth-first search over deletion states from a
+start clutter down to a target clutter (the empty one for simplicial
+orders, the input for co-chordality).  It keeps its path on an explicit
+stack, so the length of an order is not bounded by Python's recursion
+limit, and it has two standing rules:
 
 * candidates are tried in lexicographic order of their vertex tuples,
-  so the returned witness is deterministic;
+  so the sequences come out in a fixed order and the first one is the
+  deterministic witness;
 * states from which no completion exists are memoized by their circuit
   set, so the search never re-explores a failed region.
 
+The memo is sound for enumeration as well as for the decision.  Within
+one run the target is fixed, so the deletions available in a state, and
+with them its completions, depend only on the state's circuit set, not
+on the path that reached it.  A state is memoized only after every one
+of its candidates was tried and none completed, so it has no completion
+on any path, and skipping it later loses no sequence.  States that did
+complete are never memoized, so every completion is still enumerated.
+find_simplicial_order, enumerate_simplicial_orders and
+co_chordal_sequence are thin callers of the driver.
+
 Greedy deletion (always take the first simplicial element) is exposed
-separately as a fast path.  A stuck greedy run proves nothing: no
-result of this module treats "greedy failed" as "not chordal".
+separately as a fast path and stays a plain loop: it neither backtracks
+nor memoizes, so running it through the driver would need a
+no-backtracking switch that no other caller wants.  A stuck greedy run
+proves nothing: no result of this module treats "greedy failed" as
+"not chordal".
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
+from itertools import islice
 
 from .clutter import (
     Clutter,
@@ -35,6 +54,7 @@ from .clutter import (
     mask_is_clique,
     mask_of,
     neighborhood_map,
+    submaximal_circuit_masks,
     verts_of,
 )
 
@@ -92,6 +112,65 @@ def _delete_mask(state: frozenset[int], emask: int) -> frozenset[int]:
     return frozenset(m for m in state if m & emask != emask)
 
 
+# ----- the deletion-sequence driver -----------------------------------------
+
+
+def _deletion_sequences(start: frozenset[int], target: frozenset[int], d: int,
+                        max_states: int | None) -> Iterator[tuple[tuple[int, int], ...]]:
+    """Yield every simplicial deletion sequence turning start into target.
+
+    Each sequence is a tuple of (element mask, open-neighborhood mask)
+    steps, and sequences come in lexicographic depth-first order.  A
+    deletion that would remove a circuit of target is never tried.
+    States with no completion go into the failed-state memo; with
+    max_states set, SearchLimitReached is raised once that many states
+    have been expanded.  The path lives on an explicit stack, so long
+    orders do not touch Python's recursion limit.
+    """
+    protected = submaximal_circuit_masks(target)
+    failed: set[frozenset[int]] = set()
+    expanded = yielded = 0
+    # The current path: (state, its untried candidates, sequences yielded
+    # before it was entered).  steps[i] is the candidate taken out of
+    # path[i].
+    path: list[tuple[frozenset[int], Iterator[tuple[int, int]], int]] = []
+    steps: list[tuple[int, int]] = []
+    state = start
+    while True:
+        if state == target:
+            yield tuple(steps)
+            yielded += 1
+        else:
+            if max_states is not None:
+                if expanded >= max_states:
+                    raise SearchLimitReached(
+                        f"no answer after expanding {expanded} states")
+                expanded += 1
+            path.append((state, iter(_simplicial_candidates(state, d)), yielded))
+        # Back up to the deepest state with an untried candidate whose
+        # deletion leaves a state not known to fail; take it.
+        while path:
+            del steps[len(path) - 1:]
+            here, cands, before = path[-1]
+            cand = next(cands, None)
+            if cand is None:
+                path.pop()
+                if yielded == before:
+                    failed.add(here)
+            elif cand[0] not in protected:
+                state = _delete_mask(here, cand[0])
+                if state not in failed:
+                    steps.append(cand)
+                    break
+        else:
+            return
+
+
+def _order(steps: tuple[tuple[int, int], ...]) -> SimplicialOrder:
+    return SimplicialOrder(
+        tuple((verts_of(e), nbr.bit_count()) for e, nbr in steps))
+
+
 # ----- full decision procedure ---------------------------------------------
 
 
@@ -104,32 +183,9 @@ def find_simplicial_order(clutter: Clutter,
     SearchLimitReached once that many distinct states have been
     expanded, leaving the question open.
     """
-    d = clutter.d
-    failed: set[frozenset[int]] = set()
-    expanded = 0
-
-    def search(state: frozenset[int]) -> list[tuple[int, int]] | None:
-        nonlocal expanded
-        if not state:
-            return []
-        if state in failed:
-            return None
-        if max_states is not None:
-            if expanded >= max_states:
-                raise SearchLimitReached(
-                    f"no answer after expanding {expanded} states")
-            expanded += 1
-        for emask, nbr in _simplicial_candidates(state, d):
-            tail = search(_delete_mask(state, emask))
-            if tail is not None:
-                return [(emask, nbr.bit_count())] + tail
-        failed.add(state)
-        return None
-
-    steps = search(clutter.mask_set())
-    if steps is None:
-        return None
-    return SimplicialOrder(tuple((verts_of(e), s) for e, s in steps))
+    steps = next(_deletion_sequences(clutter.mask_set(), frozenset(),
+                                     clutter.d, max_states), None)
+    return None if steps is None else _order(steps)
 
 
 def is_chordal(clutter: Clutter, max_states: int | None = None) -> bool:
@@ -164,38 +220,14 @@ def enumerate_simplicial_orders(clutter: Clutter,
     can grow factorially.  Branches that provably cannot complete are
     pruned through the same failed-state memo as the decision search.
     """
-    d = clutter.d
     start = clutter.mask_set()
     n_sub = len(neighborhood_map(start))
     if n_sub > max_submaximal:
         raise ValueError(
             f"{n_sub} submaximal circuits exceed the enumeration guard "
             f"of {max_submaximal}; raise max_submaximal to proceed")
-    failed: set[frozenset[int]] = set()
-    orders: list[SimplicialOrder] = []
-    prefix: list[tuple[Vertices, int]] = []
-
-    def walk(state: frozenset[int]) -> bool:
-        """Extend prefix in all ways; True when any completion exists."""
-        if not state:
-            orders.append(SimplicialOrder(tuple(prefix)))
-            return True
-        if state in failed:
-            return False
-        any_done = False
-        for emask, nbr in _simplicial_candidates(state, d):
-            if len(orders) >= limit:
-                break
-            prefix.append((verts_of(emask), nbr.bit_count()))
-            if walk(_delete_mask(state, emask)):
-                any_done = True
-            prefix.pop()
-        if not any_done:
-            failed.add(state)
-        return any_done
-
-    walk(start)
-    return orders
+    sequences = _deletion_sequences(start, frozenset(), clutter.d, None)
+    return [_order(steps) for steps in islice(sequences, limit)]
 
 
 # ----- witness replay -------------------------------------------------------
@@ -290,38 +322,10 @@ def co_chordal_sequence(clutter: Clutter,
     """
     if clutter.n < clutter.d:
         return () if not clutter.circuit_masks else None
-    target = clutter.mask_set()
-    d = clutter.d
-    failed: set[frozenset[int]] = set()
-    expanded = 0
-
-    def search(state: frozenset[int]) -> list[int] | None:
-        nonlocal expanded
-        if state == target:
-            return []
-        if state in failed:
-            return None
-        if max_states is not None:
-            if expanded >= max_states:
-                raise SearchLimitReached(
-                    f"no answer after expanding {expanded} states")
-            expanded += 1
-        for emask, _nbr in _simplicial_candidates(state, d):
-            # Deleting emask removes every circuit containing it; legal
-            # only when none of those circuits belongs to the target.
-            if any(m & emask == emask for m in target):
-                continue
-            tail = search(_delete_mask(state, emask))
-            if tail is not None:
-                return [emask] + tail
-        failed.add(state)
-        return None
-
     start = complete_clutter(clutter.n, clutter.d).mask_set()
-    seq = search(start)
-    if seq is None:
-        return None
-    return tuple(verts_of(e) for e in seq)
+    steps = next(_deletion_sequences(start, clutter.mask_set(), clutter.d,
+                                     max_states), None)
+    return None if steps is None else tuple(verts_of(e) for e, _ in steps)
 
 
 def is_co_chordal(clutter: Clutter, max_states: int | None = None) -> bool:

@@ -17,7 +17,6 @@ from __future__ import annotations
 import itertools
 from collections.abc import Iterable
 from dataclasses import dataclass
-from math import comb
 
 MAX_VERTICES = 64
 
@@ -43,13 +42,6 @@ def verts_of(mask: int) -> Vertices:
         out.append(low.bit_length())
         mask ^= low
     return tuple(out)
-
-
-def iter_masks_of_size(universe_mask: int, k: int):
-    """All k-element submasks of universe_mask."""
-    verts = verts_of(universe_mask)
-    for combo in itertools.combinations(verts, k):
-        yield mask_of(combo)
 
 
 # ----- value types --------------------------------------------------------
@@ -130,6 +122,17 @@ def canonical_mask_order(masks: Iterable[int]) -> tuple[int, ...]:
 # ----- constructors -------------------------------------------------------
 
 
+def _check_parameters(n: int, d: int | None = None) -> None:
+    """Reject a vertex count outside 1..MAX_VERTICES or a uniformity d < 1."""
+    if not isinstance(n, int) or n < 1:
+        raise ValueError(f"positive vertex count expected, got {n!r}")
+    if n > MAX_VERTICES:
+        raise ValueError(
+            f"n={n} exceeds the supported maximum of {MAX_VERTICES} vertices")
+    if d is not None and (not isinstance(d, int) or d < 1):
+        raise ValueError(f"positive uniformity expected, got {d!r}")
+
+
 def _check_vertex_range(n: int, vertices: Iterable[int]) -> None:
     for v in vertices:
         if not isinstance(v, int) or not 1 <= v <= n:
@@ -144,13 +147,7 @@ def make_clutter(n: int, d: int, circuits: Iterable[Iterable[int]]) -> Clutter:
     vertices outside 1..n, circuits of the wrong cardinality, or
     n > MAX_VERTICES.
     """
-    if not isinstance(n, int) or n < 1:
-        raise ValueError(f"positive vertex count expected, got {n!r}")
-    if n > MAX_VERTICES:
-        raise ValueError(
-            f"n={n} exceeds the supported maximum of {MAX_VERTICES} vertices")
-    if not isinstance(d, int) or d < 1:
-        raise ValueError(f"positive uniformity expected, got {d!r}")
+    _check_parameters(n, d)
     masks = []
     for circ in circuits:
         vs = tuple(circ)
@@ -172,11 +169,7 @@ def clutter_from_masks(n: int, d: int, masks: Iterable[int]) -> Clutter:
 
 def make_ideal(n: int, gens: Iterable[Iterable[int]]) -> SquarefreeIdeal:
     """Build a squarefree ideal, reducing the input to minimal generators."""
-    if not isinstance(n, int) or n < 1:
-        raise ValueError(f"positive vertex count expected, got {n!r}")
-    if n > MAX_VERTICES:
-        raise ValueError(
-            f"n={n} exceeds the supported maximum of {MAX_VERTICES} vertices")
+    _check_parameters(n)
     masks = set()
     for g in gens:
         vs = tuple(g)
@@ -196,13 +189,7 @@ def ideal_from_masks(n: int, masks: Iterable[int]) -> SquarefreeIdeal:
 
 def complete_clutter(n: int, d: int) -> Clutter:
     """All d-subsets of [n] (empty when n < d)."""
-    if not isinstance(n, int) or n < 1:
-        raise ValueError(f"positive vertex count expected, got {n!r}")
-    if n > MAX_VERTICES:
-        raise ValueError(
-            f"n={n} exceeds the supported maximum of {MAX_VERTICES} vertices")
-    if not isinstance(d, int) or d < 1:
-        raise ValueError(f"positive uniformity expected, got {d!r}")
+    _check_parameters(n, d)
     if n < d:
         return Clutter(n, d, ())
     masks = (mask_of(c) for c in itertools.combinations(range(1, n + 1), d))
@@ -321,6 +308,3 @@ def circuit_ideal(clutter: Clutter) -> SquarefreeIdeal:
     comp = complement(clutter)
     return SquarefreeIdeal(clutter.n, comp.circuit_masks)
 
-
-def num_d_subsets(n: int, d: int) -> int:
-    return comb(n, d) if n >= d else 0

@@ -51,12 +51,20 @@ def macaulay_representation(a: int, i: int) -> tuple[tuple[int, int], ...]:
     rest = a
     idx = i
     while rest > 0:
-        # largest top with C(top, idx) <= rest
-        top = idx
-        while math.comb(top + 1, idx) <= rest:
-            top += 1
-        rep.append((top, idx))
-        rest -= math.comb(top, idx)
+        # Largest top with C(top, idx) <= rest.  C(top, idx) grows with
+        # top, so double a step until it overshoots, then bisect.
+        lo, step = idx, 1
+        while math.comb(lo + step, idx) <= rest:
+            lo, step = lo + step, 2 * step
+        hi = lo + step  # C(lo, idx) <= rest < C(hi, idx)
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if math.comb(mid, idx) <= rest:
+                lo = mid
+            else:
+                hi = mid
+        rep.append((lo, idx))
+        rest -= math.comb(lo, idx)
         idx -= 1
     return tuple(rep)
 
@@ -108,10 +116,6 @@ class AlphaSequence:
     alpha: tuple[int, ...]
     sigma: tuple[int, ...]
 
-    def partial_sigma(self, j: int) -> int:
-        """sigma_j, with sigma_j = 0 beyond the stored range."""
-        return self.sigma[j] if 0 <= j < len(self.sigma) else 0
-
 
 def p_polynomial(n: int, d: int) -> IntPolynomial:
     """p(s) = sum_{j=0}^{n-d} C(n, d+j) (s-1)^j, for n >= d >= 0."""
@@ -127,21 +131,21 @@ def p_polynomial(n: int, d: int) -> IntPolynomial:
 
 
 def alpha_sequence(n: int, d: int) -> AlphaSequence:
-    """Build the alpha/sigma data for 1 <= d < n.
+    """Build the alpha/sigma data for 1 <= d < n, in O(n) binomials.
 
-    Computed from the generating function, which is the authoritative
-    definition; see alpha_entry_closed_form for the summation form.
+    sigma_k = C(n-1-k, d-1), and alpha follows as alpha_0 = -sigma_0,
+    alpha_k = sigma_{k-1} - sigma_k.  This agrees with the generating
+    function, the authoritative definition: p(s) has coefficients
+    sigma_0..sigma_{n-d} (the tests compare them with p_polynomial),
+    and alpha(s) = (s-1) p(s).  See alpha_entry_closed_form for the
+    summation form of each alpha_k.
     """
     if not 1 <= d < n:
         raise ValueError(f"need 1 <= d < n, got d={d}, n={n}")
-    gen = p_polynomial(n, d) * IntPolynomial([-1, 1])
-    alpha = tuple(gen.coeff(j) for j in range(n - d + 2))
-    sigma = []
-    acc = 0
-    for a in alpha:
-        acc += a
-        sigma.append(-acc)
-    return AlphaSequence(n, d, alpha, tuple(sigma))
+    sigma = tuple(binom(n - 1 - k, d - 1) for k in range(n - d + 2))
+    alpha = (-sigma[0],) + tuple(sigma[k - 1] - sigma[k]
+                                 for k in range(1, n - d + 2))
+    return AlphaSequence(n, d, alpha, sigma)
 
 
 def alpha_entry_closed_form(n: int, d: int, k: int) -> int:
@@ -215,9 +219,11 @@ def lsequence_from_lambda(n: int, d: int, lam: Sequence[int]) -> LSequence:
     full = lam + [0] * (n - d + 1 - len(lam))  # lambda_1 .. lambda_{n-d+1}
     sig = alpha_sequence(n, d).sigma
     out = []
+    tail = 0  # lambda_{j+1} + ... + lambda_{n-d+1}
     for k in range(n - d + 1):
         j = n - d - k
-        lk = sig[j] - sum(full[j:])
+        tail += full[j]
+        lk = sig[j] - tail
         if lk < 0:
             raise UnrealizableLambda(f"l_{k} = {lk} < 0: lambda is not realizable")
         out.append(lk)

@@ -120,19 +120,6 @@ class IntPolynomial:
         return f"IntPolynomial({' + '.join(parts)})"
 
 
-ZERO = IntPolynomial()
-ONE = IntPolynomial([1])
-
-
-def constant(c: int) -> IntPolynomial:
-    return IntPolynomial([c])
-
-
-def monomial(c: int, k: int) -> IntPolynomial:
-    """The polynomial c * t**k."""
-    return IntPolynomial([0] * k + [c])
-
-
 def binomial_power(a: int, sign: int, m: int) -> IntPolynomial:
     """Expand (a + sign*t)**m directly from binomial coefficients."""
     if m < 0:

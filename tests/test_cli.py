@@ -129,6 +129,22 @@ def test_invariants_verify(ex_file, capsys):
     assert verify["linear_resolution"] is True
 
 
+def test_invariants_verify_skipped_above_oracle_cap(tmp_path, capsys, monkeypatch):
+    # 13 vertices is past the Hochster oracle's default cap of 12
+    monkeypatch.delenv("CLUTTERLAB_MAX_N", raising=False)
+    p = tmp_path / "path13.txt"
+    p.write_text("13 2\n" + "".join(f"{v} {v + 1}\n" for v in range(1, 13)))
+    code, out, err = run(capsys, "invariants", str(p), "--verify", "--json")
+    assert code == 0
+    report = json.loads(out)
+    assert report["chordal"] is True and report["f"] == [1, 13, 12]
+    assert "capped at 12" in report["verify"]["skipped"]
+    assert len(err.splitlines()) == 1 and "skipped" in err
+    code, out, _ = run(capsys, "invariants", str(p), "--verify")
+    assert code == 0
+    assert "verify: skipped (hochster_betti oracle capped at 12" in out
+
+
 def test_invariants_not_chordal(cycle_file, capsys):
     code, _, err = run(capsys, "invariants", cycle_file)
     assert code == 1

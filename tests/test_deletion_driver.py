@@ -1,0 +1,292 @@
+"""The deletion-sequence driver against the recursive searches it replaced.
+
+The reference functions below are the recursive backtracking searches
+that chordality.py used before its single iterative driver, copied
+unchanged apart from their names (and the indentation of their
+signatures), together with the two helpers they call.  The driver must
+return exactly what they return: the same witness, the same co-chordal
+sequence, the same enumeration in the same order, and the same budget
+behaviour.
+"""
+
+from __future__ import annotations
+
+import random
+import sys
+from itertools import combinations
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from clutterlab import (
+    SearchLimitReached,
+    SimplicialOrder,
+    clutter_from_masks,
+    co_chordal_sequence,
+    complete_clutter,
+    enumerate_simplicial_orders,
+    find_simplicial_order,
+    make_clutter,
+    replay_order,
+)
+from clutterlab.clutter import (
+    Clutter,
+    Vertices,
+    mask_is_clique,
+    mask_of,
+    neighborhood_map,
+    verts_of,
+)
+
+# ----- reference: the recursive searches --------------------------------------
+
+
+def _simplicial_candidates(state: frozenset[int], d: int) -> list[tuple[int, int]]:
+    """(element mask, neighborhood mask) pairs, lex sorted by vertex tuple."""
+    out = []
+    for e, nbr in neighborhood_map(state).items():
+        if mask_is_clique(state, e | nbr, d):
+            out.append((e, nbr))
+    out.sort(key=lambda pair: verts_of(pair[0]))
+    return out
+
+
+def _delete_mask(state: frozenset[int], emask: int) -> frozenset[int]:
+    return frozenset(m for m in state if m & emask != emask)
+
+
+def ref_find_simplicial_order(clutter: Clutter,
+                              max_states: int | None = None) -> SimplicialOrder | None:
+    """Decide chordality, returning a witness order or None.
+
+    None is a definitive negative: the backtracking search exhausted
+    every deletion sequence.  With max_states set, the search raises
+    SearchLimitReached once that many distinct states have been
+    expanded, leaving the question open.
+    """
+    d = clutter.d
+    failed: set[frozenset[int]] = set()
+    expanded = 0
+
+    def search(state: frozenset[int]) -> list[tuple[int, int]] | None:
+        nonlocal expanded
+        if not state:
+            return []
+        if state in failed:
+            return None
+        if max_states is not None:
+            if expanded >= max_states:
+                raise SearchLimitReached(
+                    f"no answer after expanding {expanded} states")
+            expanded += 1
+        for emask, nbr in _simplicial_candidates(state, d):
+            tail = search(_delete_mask(state, emask))
+            if tail is not None:
+                return [(emask, nbr.bit_count())] + tail
+        failed.add(state)
+        return None
+
+    steps = search(clutter.mask_set())
+    if steps is None:
+        return None
+    return SimplicialOrder(tuple((verts_of(e), s) for e, s in steps))
+
+
+def ref_enumerate_simplicial_orders(clutter: Clutter,
+                                    limit: int = 100_000,
+                                    max_submaximal: int = 24) -> list[SimplicialOrder]:
+    """Every complete simplicial order, up to limit.
+
+    Guarded by the number of submaximal circuits, since the order count
+    can grow factorially.  Branches that provably cannot complete are
+    pruned through the same failed-state memo as the decision search.
+    """
+    d = clutter.d
+    start = clutter.mask_set()
+    n_sub = len(neighborhood_map(start))
+    if n_sub > max_submaximal:
+        raise ValueError(
+            f"{n_sub} submaximal circuits exceed the enumeration guard "
+            f"of {max_submaximal}; raise max_submaximal to proceed")
+    failed: set[frozenset[int]] = set()
+    orders: list[SimplicialOrder] = []
+    prefix: list[tuple[Vertices, int]] = []
+
+    def walk(state: frozenset[int]) -> bool:
+        """Extend prefix in all ways; True when any completion exists."""
+        if not state:
+            orders.append(SimplicialOrder(tuple(prefix)))
+            return True
+        if state in failed:
+            return False
+        any_done = False
+        for emask, nbr in _simplicial_candidates(state, d):
+            if len(orders) >= limit:
+                break
+            prefix.append((verts_of(emask), nbr.bit_count()))
+            if walk(_delete_mask(state, emask)):
+                any_done = True
+            prefix.pop()
+        if not any_done:
+            failed.add(state)
+        return any_done
+
+    walk(start)
+    return orders
+
+
+# ----- witness replay -------------------------------------------------------
+
+
+def ref_co_chordal_sequence(clutter: Clutter,
+                            max_states: int | None = None) -> tuple[Vertices, ...] | None:
+    """A simplicial sequence carving the complete clutter down to this one.
+
+    Searches for e_1, ..., e_r, each simplicial in the running deletion
+    of the complete d-uniform clutter on [n], whose deletions remove
+    exactly the complement's circuits.  Returns the sequence (empty for
+    the complete clutter itself) or None when no such sequence exists.
+
+    Chordality and co-chordality are logically independent here: one is
+    never inferred from the other.
+    """
+    if clutter.n < clutter.d:
+        return () if not clutter.circuit_masks else None
+    target = clutter.mask_set()
+    d = clutter.d
+    failed: set[frozenset[int]] = set()
+    expanded = 0
+
+    def search(state: frozenset[int]) -> list[int] | None:
+        nonlocal expanded
+        if state == target:
+            return []
+        if state in failed:
+            return None
+        if max_states is not None:
+            if expanded >= max_states:
+                raise SearchLimitReached(
+                    f"no answer after expanding {expanded} states")
+            expanded += 1
+        for emask, _nbr in _simplicial_candidates(state, d):
+            # Deleting emask removes every circuit containing it; legal
+            # only when none of those circuits belongs to the target.
+            if any(m & emask == emask for m in target):
+                continue
+            tail = search(_delete_mask(state, emask))
+            if tail is not None:
+                return [emask] + tail
+        failed.add(state)
+        return None
+
+    start = complete_clutter(clutter.n, clutter.d).mask_set()
+    seq = search(start)
+    if seq is None:
+        return None
+    return tuple(verts_of(e) for e in seq)
+
+
+# ----- agreement ----------------------------------------------------------------
+
+
+def d_subsets(n: int, d: int) -> list[int]:
+    return [mask_of(c) for c in combinations(range(1, n + 1), d)]
+
+
+def picked(n: int, d: int, masks: list[int], pick: int) -> Clutter:
+    """The clutter of the masks whose bit is set in pick."""
+    return clutter_from_masks(n, d, (m for i, m in enumerate(masks) if pick >> i & 1))
+
+
+def all_clutters(n: int, d: int):
+    """Every d-uniform clutter on [n], one per subset of the d-subsets."""
+    masks = d_subsets(n, d)
+    for pick in range(1 << len(masks)):
+        yield picked(n, d, masks, pick)
+
+
+def outcome(fn, *args, **kwargs):
+    """A search's result, or the fact that it ran out of budget."""
+    try:
+        return fn(*args, **kwargs)
+    except SearchLimitReached:
+        return SearchLimitReached
+
+
+@pytest.mark.parametrize("n,d", [(5, 2), (5, 3)])
+def test_find_and_co_chordal_agree_exhaustively(n, d):
+    chordal = co_chordal = 0
+    for c in all_clutters(n, d):
+        order = find_simplicial_order(c)
+        assert order == ref_find_simplicial_order(c), c
+        seq = co_chordal_sequence(c)
+        assert seq == ref_co_chordal_sequence(c), c
+        chordal += order is not None
+        co_chordal += seq is not None
+    # both answers occur, so the sweep exercises success and failure
+    assert 0 < chordal < 1 << 10 and 0 < co_chordal < 1 << 10
+
+
+def test_enumeration_agrees_exhaustively():
+    total = 0
+    for c in all_clutters(5, 3):
+        orders = enumerate_simplicial_orders(c, limit=200)
+        assert orders == ref_enumerate_simplicial_orders(c, limit=200), c
+        total += len(orders)
+    assert total > 1000
+
+
+def test_budgets_agree_exhaustively():
+    for c in all_clutters(5, 3):
+        for budget in (1, 4):
+            assert outcome(find_simplicial_order, c, budget) == \
+                outcome(ref_find_simplicial_order, c, budget), (c, budget)
+            assert outcome(co_chordal_sequence, c, budget) == \
+                outcome(ref_co_chordal_sequence, c, budget), (c, budget)
+
+
+def test_find_agrees_on_random_6_4():
+    rng = random.Random(64)
+    masks = d_subsets(6, 4)
+    for _ in range(3000):
+        c = clutter_from_masks(6, 4, (m for m in masks if rng.random() < 0.5))
+        assert find_simplicial_order(c) == ref_find_simplicial_order(c), c
+
+
+MASKS_6_3 = d_subsets(6, 3)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, (1 << len(MASKS_6_3)) - 1))
+def test_find_and_co_chordal_agree_on_6_3(pick):
+    c = picked(6, 3, MASKS_6_3, pick)
+    assert find_simplicial_order(c) == ref_find_simplicial_order(c)
+    assert co_chordal_sequence(c) == ref_co_chordal_sequence(c)
+
+
+# ----- long orders --------------------------------------------------------------
+
+
+def test_long_orders_do_not_recurse():
+    # complete_clutter(12, 3) needs 55 deletions; under a limit only 40
+    # frames above the current depth, one Python frame per deletion
+    # would raise RecursionError.
+    depth = 0
+    frame = sys._getframe()
+    while frame is not None:
+        depth += 1
+        frame = frame.f_back
+    K = complete_clutter(12, 3)
+    empty = make_clutter(12, 3, [])
+    saved = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 40)
+    try:
+        order = find_simplicial_order(K)
+        first = enumerate_simplicial_orders(K, limit=1, max_submaximal=66)
+        carve = co_chordal_sequence(empty)
+    finally:
+        sys.setrecursionlimit(saved)
+    assert len(order) == 55
+    assert replay_order(K, order.elements) == order.neighborhood_sizes
+    assert first == [order]
+    assert carve is not None and len(carve) == 55

@@ -29,6 +29,7 @@ from clutterlab import (
     random_tree,
     simplicial_multiset,
 )
+from clutterlab.polynomials import IntPolynomial, one_plus_t
 
 EX = make_clutter(5, 3, [(1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4), (1, 4, 5)])
 EX_MS = Counter({2: 1, 1: 3})
@@ -44,6 +45,21 @@ def test_f_polynomial_worked_example():
     poly = f_polynomial_from_multiset(5, 3, EX_MS)
     assert poly.coeffs == (1, 5, 10, 5, 1)
     assert f_vector_from_multiset(5, 3, EX_MS) == (1, 5, 10, 5, 1)
+
+
+def test_f_polynomial_matches_closed_form():
+    # f(t) = sum_{i<d} C(n,i) t^i + t^(d-1) * sum_k ((1+t)^size_k - 1)
+    rng = random.Random(5)
+    for _ in range(400):
+        n = rng.randint(1, 14)
+        d = rng.randint(1, n)
+        ms = Counter({rng.randint(1, n - d + 1): rng.randint(0, 4)
+                      for _ in range(rng.randint(0, 5))})
+        closed = IntPolynomial([comb(n, i) for i in range(d)])
+        for size, mult in ms.items():
+            bump = (one_plus_t(size) - IntPolynomial([1])).scale(mult)
+            closed = closed + bump.shift(d - 1)
+        assert f_polynomial_from_multiset(n, d, ms) == closed, (n, d, ms)
 
 
 def test_f_vector_direct_worked_example():

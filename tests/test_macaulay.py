@@ -36,6 +36,7 @@ from clutterlab import (
     strongly_stable_closure,
     validate_lambda,
 )
+from clutterlab.polynomials import IntPolynomial
 
 
 def test_macaulay_representation_examples():
@@ -47,6 +48,39 @@ def test_macaulay_representation_examples():
         macaulay_representation(0, 2)
     with pytest.raises(ValueError):
         macaulay_representation(3, 0)
+
+
+def linear_scan_representation(a: int, i: int) -> tuple[tuple[int, int], ...]:
+    """Reference: each top binomial found by scanning upward one at a time."""
+    rep = []
+    rest = a
+    idx = i
+    while rest > 0:
+        top = idx
+        while comb(top + 1, idx) <= rest:
+            top += 1
+        rep.append((top, idx))
+        rest -= comb(top, idx)
+        idx -= 1
+    return tuple(rep)
+
+
+def test_macaulay_representation_matches_linear_scan():
+    for i in range(1, 9):
+        # every small value, and both sides of every binomial boundary
+        values = set(range(1, 300))
+        for top in range(i, 60):
+            values.update({comb(top, i) - 1, comb(top, i), comb(top, i) + 1})
+        for a in sorted(values - {0}):
+            assert macaulay_representation(a, i) == linear_scan_representation(a, i), (a, i)
+
+
+def test_macaulay_representation_of_huge_values():
+    for a, i in ((10**24, 3), (10**60 + 7, 5), (2**200, 2)):
+        rep = macaulay_representation(a, i)
+        assert sum(comb(t, k) for t, k in rep) == a
+        assert [k for _, k in rep] == list(range(i, i - len(rep), -1))
+        assert all(t > u for (t, _), (u, _) in zip(rep, rep[1:]))
 
 
 def test_macaulay_representation_reconstructs():
@@ -97,6 +131,15 @@ def test_alpha_closed_form_matches_generating_function():
             a = alpha_sequence(n, d)
             for k in range(n - d + 2):
                 assert alpha_entry_closed_form(n, d, k) == a.alpha[k]
+
+
+def test_alpha_sequence_matches_generating_function():
+    # alpha(s) = (s - 1) p(s); alpha_sequence uses the binomial closed form
+    for n in range(2, 40):
+        for d in range(1, n):
+            gen = p_polynomial(n, d) * IntPolynomial([-1, 1])
+            expected = tuple(gen.coeff(j) for j in range(n - d + 2))
+            assert alpha_sequence(n, d).alpha == expected, (n, d)
 
 
 def test_p_polynomial_properties():

@@ -9,8 +9,6 @@ from clutterlab.polynomials import (
     IntPolynomial,
     binom,
     binomial_power,
-    constant,
-    monomial,
     one_minus_t,
     one_plus_t,
 )
@@ -46,8 +44,8 @@ def test_arithmetic():
     assert (-p).coeffs == (-1, -1)
     assert p.scale(3).coeffs == (3, 3)
     assert p.shift(2).coeffs == (0, 0, 1, 1)
-    assert monomial(5, 3).coeffs == (0, 0, 0, 5)
-    assert constant(4).coeffs == (4,)
+    assert IntPolynomial([0, 0, 0, 5]).coeffs == (0, 0, 0, 5)
+    assert IntPolynomial([4]).coeffs == (4,)
 
 
 def test_evaluation():
