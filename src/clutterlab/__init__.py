@@ -54,7 +54,6 @@ from .invariants import (
     f_vector_direct,
     f_vector_from_multiset,
     h_from_f,
-    h_polynomial_from_multiset,
     h_vector_from_multiset,
     multiplicity,
     projective_dimension,

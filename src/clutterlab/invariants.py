@@ -4,8 +4,12 @@ For a chordal d-uniform clutter the multiset of neighborhood sizes
 collected by any complete simplicial order determines the face numbers
 of the clique complex, hence the h-vector of its Stanley-Reisner
 quotient, hence (the resolution being d-linear) the total Betti numbers
-of the circuit ideal.  This module walks that chain with exact integer
-polynomial arithmetic.
+of the circuit ideal.  This module walks that chain, one step per
+function, with exact integer polynomial arithmetic: the multiset gives
+f (f_vector_from_multiset), f gives h (h_from_f), and h gives the Betti
+numbers (betti_from_h).  h_vector_from_multiset and betti_from_multiset
+are those steps composed.  The oracle f_vector_direct counts the faces
+of homology.clique_complex_faces instead.
 
 Conventions.  An f-vector is the coefficient tuple of the f-polynomial
 f(t) = sum f_{i-1} t^i, so it reads (f_-1, f_0, ..., f_{delta-1}) with
@@ -20,11 +24,11 @@ from __future__ import annotations
 
 from collections import Counter
 from collections.abc import Iterable
-from itertools import combinations
 from math import comb
 
-from .clutter import Clutter, verts_of
+from .clutter import Clutter, verts_of  # noqa: F401  perfbench/tracing.py patches this name here
 from .guards import F_VECTOR_DEFAULT, check_cap
+from .homology import clique_complex_faces
 from .polynomials import IntPolynomial, binom, one_minus_t
 
 FVector = tuple[int, ...]
@@ -82,46 +86,15 @@ def f_vector_from_multiset(n: int, d: int,
 
 
 def f_vector_direct(clutter: Clutter, max_n: int | None = None) -> FVector:
-    """Brute-force f-vector by growing cliques one vertex at a time.
+    """Brute-force f-vector: the level sizes of the clique complex.
 
     Independent of the multiset formula: only the clique definition is
-    used.  Guarded by the oracle cap since the face count is
-    exponential in the worst case.
+    used, through homology.clique_complex_faces.  Guarded by the oracle
+    cap since the face count is exponential in the worst case.
     """
     check_cap("f_vector_direct", clutter.n, F_VECTOR_DEFAULT, max_n)
-    n, d = clutter.n, clutter.d
-    circuits = clutter.mask_set()
-    counts = [comb(n, i) for i in range(d)]
-    if d - 1 > n:
-        while counts and counts[-1] == 0:
-            counts.pop()
-        return tuple(counts)
-    if d == 1:
-        level = [0]
-    else:
-        level = [sum(1 << (v - 1) for v in c)
-                 for c in combinations(range(1, n + 1), d - 1)]
-    while level:
-        grown = []
-        for vmask in level:
-            top = vmask.bit_length()
-            members = verts_of(vmask)
-            for v in range(top + 1, n + 1):
-                vbit = 1 << (v - 1)
-                ok = True
-                for sub in combinations(members, d - 1):
-                    m = vbit
-                    for u in sub:
-                        m |= 1 << (u - 1)
-                    if m not in circuits:
-                        ok = False
-                        break
-                if ok:
-                    grown.append(vmask | vbit)
-        if grown:
-            counts.append(len(grown))
-        level = grown
-    return tuple(counts)
+    faces = clique_complex_faces(clutter, range(1, clutter.n + 1), max_n=clutter.n)
+    return tuple(len(level) for level in faces.by_size)
 
 
 # ----- h ---------------------------------------------------------------------
@@ -149,35 +122,13 @@ def f_from_h(h: HVector, delta: int) -> FVector:
     )
 
 
-def h_polynomial_from_multiset(n: int, d: int,
-                               multiset: Counter | Iterable[int]) -> IntPolynomial:
-    """h-polynomial straight from the multiset.
-
-    h(t) = sum_{i<d} C(n,i) t^i (1-t)^(top+d-1-i)
-         + t^(d-1) * sum_k ((1-t)^(top-size_k) - (1-t)^top),
-    where top is the largest neighborhood size (0 when empty).
-    """
-    counts = _as_counts(multiset)
-    if any(size > n - d + 1 for size in counts):
-        raise ValueError("a neighborhood size exceeds n - d + 1")
-    top = max(counts) if counts else 0
-    poly = IntPolynomial()
-    for i in range(d):
-        poly = poly + one_minus_t(top + d - 1 - i).scale(binom(n, i)).shift(i)
-    tail = IntPolynomial()
-    for size, mult in counts.items():
-        tail = tail + (one_minus_t(top - size) - one_minus_t(top)).scale(mult)
-    return poly + tail.shift(d - 1)
-
-
 def h_vector_from_multiset(n: int, d: int,
                            multiset: Counter | Iterable[int]) -> HVector:
-    """h-vector padded to its full delta + 1 entries."""
-    delta = delta_from_multiset(d, multiset)
-    coeffs = h_polynomial_from_multiset(n, d, multiset).coeffs
-    if len(coeffs) > delta + 1:
-        raise AssertionError("h-polynomial degree exceeds delta")
-    return tuple(coeffs) + (0,) * (delta + 1 - len(coeffs))
+    """h-vector padded to its full delta + 1 entries, through h_from_f."""
+    counts = _as_counts(multiset)
+    delta = delta_from_multiset(d, counts)
+    f = f_vector_from_multiset(n, d, counts)
+    return h_from_f(f + (0,) * (delta + 1 - len(f)))
 
 
 # ----- Betti -----------------------------------------------------------------
@@ -229,11 +180,7 @@ def betti_from_h(n: int, d: int, h: HVector, delta: int) -> BettiSequence:
 
 def betti_from_multiset(n: int, d: int,
                         multiset: Counter | Iterable[int]) -> BettiSequence:
-    """Total Betti numbers straight from the multiset.
-
-    1 + sum (-1)^(i+1) beta_i t^(i+d)
-      = sum_{i<d} C(n,i) t^i (1-t)^(n-i)
-      + t^(d-1) * sum_k ((1-t)^(n-size_k-d+1) - (1-t)^(n-d+1)).
+    """Total Betti numbers from the multiset, through f, h and betti_from_h.
 
     Raises ValueError for the complete clutter (zero circuit ideal has
     no Betti sequence) and for multisets whose circuit count exceeds
@@ -249,14 +196,8 @@ def betti_from_multiset(n: int, d: int,
     if r == total:
         raise ValueError(
             "complete clutter: the circuit ideal is zero and has no Betti sequence")
-    poly = IntPolynomial()
-    for i in range(d):
-        poly = poly + one_minus_t(n - i).scale(binom(n, i)).shift(i)
-    tail = IntPolynomial()
-    for size, mult in counts.items():
-        diff = one_minus_t(n - size - d + 1) - one_minus_t(n - d + 1)
-        tail = tail + diff.scale(mult)
-    return _betti_from_expansion(poly + tail.shift(d - 1), d)
+    h = h_vector_from_multiset(n, d, counts)
+    return betti_from_h(n, d, h, len(h) - 1)
 
 
 def multiplicity(clutter: Clutter) -> int:

@@ -38,10 +38,13 @@ def clutter_from_json_dict(obj: Any) -> Clutter:
     if missing:
         raise ClutterParseError(f"JSON clutter lacks keys: {sorted(missing)}")
     n, d, circuits = obj["n"], obj["d"], obj["circuits"]
-    if not isinstance(n, int) or not isinstance(d, int):
+    # JSON true/false load as bool, a subclass of int; neither is a number here.
+    if any(not isinstance(x, int) or isinstance(x, bool) for x in (n, d)):
         raise ClutterParseError("JSON clutter n and d must be integers")
     if not isinstance(circuits, list) or not all(isinstance(c, list) for c in circuits):
         raise ClutterParseError("JSON clutter circuits must be a list of lists")
+    if any(isinstance(v, bool) for c in circuits for v in c):
+        raise ClutterParseError("JSON clutter vertices must be integers, not booleans")
     try:
         return make_clutter(n, d, circuits)
     except ValueError as exc:

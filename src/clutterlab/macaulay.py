@@ -267,36 +267,36 @@ def is_valid_lambda(n: int, d: int, lam: Sequence[int]) -> bool:
 # ----- extremal values -------------------------------------------------------
 
 
+def _check_index(n: int, d: int, i: int) -> None:
+    """The extremal results need d >= 1 and 1 <= i <= n - d."""
+    if d < 1:
+        raise ValueError(f"need 1 <= d < n, got d={d}, n={n}")
+    if not 1 <= i <= n - d:
+        raise ValueError(f"index must satisfy 1 <= i <= n - d = {n - d}, got {i}")
+
+
 def lambda_max(n: int, d: int, i: int) -> int:
     """Largest lambda_i over chordal clutters on [n] other than the complete one.
 
-    Equals alpha_i + C(n-1-i, d-1); requires 1 <= i <= n - d.
+    Equals C(n-i, d-1): the bound is alpha_i + C(n-1-i, d-1), and
+    alpha_i = sigma_{i-1} - sigma_i = C(n-i, d-1) - C(n-1-i, d-1).
+    Requires d >= 1 and 1 <= i <= n - d.
     """
-    if not 1 <= i <= n - d:
-        raise ValueError(f"index must satisfy 1 <= i <= n - d = {n - d}, got {i}")
-    return alpha_sequence(n, d).alpha[i] + binom(n - 1 - i, d - 1)
+    _check_index(n, d, i)
+    return binom(n - i, d - 1)
 
 
 def extremal_lambda_profile(n: int, d: int, i: int) -> tuple[int, ...]:
     """The unique lambda attaining lambda_max at index i.
 
     lambda_j = alpha_j for j < i, alpha_i + C(n-1-i, d-1) at j = i, and
-    alpha_j - C(n-1-j, d-2) for j > i; trailing zeros trimmed.
+    alpha_j - C(n-1-j, d-2) for j > i.  By Pascal's rule alpha_j =
+    C(n-1-j, d-2), so the entries before i are C(n-1-j, d-2), entry i
+    is lambda_max = C(n-i, d-1) > 0, and every entry after i is 0 and
+    trimmed.  binom is zero outside its range, which covers d = 1.
     """
-    if not 1 <= i <= n - d:
-        raise ValueError(f"index must satisfy 1 <= i <= n - d = {n - d}, got {i}")
-    alpha = alpha_sequence(n, d).alpha
-    lam = []
-    for j in range(1, n - d + 1):
-        if j < i:
-            lam.append(alpha[j])
-        elif j == i:
-            lam.append(alpha[j] + binom(n - 1 - i, d - 1))
-        else:
-            lam.append(alpha[j] - binom(n - 1 - j, d - 2))
-    while lam and lam[-1] == 0:
-        lam.pop()
-    return tuple(lam)
+    _check_index(n, d, i)
+    return tuple(binom(n - 1 - j, d - 2) for j in range(1, i)) + (binom(n - i, d - 1),)
 
 
 def extremal_clutter(n: int, d: int, i: int) -> Clutter:
@@ -305,8 +305,7 @@ def extremal_clutter(n: int, d: int, i: int) -> Clutter:
     Its circuit ideal is squarefree strongly stable and its
     lambda-sequence matches extremal_lambda_profile(n, d, i).
     """
-    if not 1 <= i <= n - d:
-        raise ValueError(f"index must satisfy 1 <= i <= n - d = {n - d}, got {i}")
+    _check_index(n, d, i)
     cutoff = 1 << (n - i)  # masks below this live inside [n-i]
     masks = [mask_of(c) for c in combinations(range(1, n + 1), d)]
     return clutter_from_masks(n, d, (m for m in masks if m >= cutoff))

@@ -132,8 +132,3 @@ def binomial_power(a: int, sign: int, m: int) -> IntPolynomial:
 def one_minus_t(m: int) -> IntPolynomial:
     """(1 - t)**m."""
     return binomial_power(1, -1, m)
-
-
-def one_plus_t(m: int) -> IntPolynomial:
-    """(1 + t)**m."""
-    return binomial_power(1, 1, m)

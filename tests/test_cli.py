@@ -87,6 +87,15 @@ def test_check_parse_error_line_number(tmp_path, capsys):
     assert "line 2" in err
 
 
+def test_check_rejects_json_booleans(tmp_path, capsys):
+    bad = tmp_path / "bool.json"
+    bad.write_text('{"n": true, "d": true, "circuits": [[true]]}')
+    code, out, err = run(capsys, "check", str(bad), "--json")
+    assert code == 64
+    assert out == ""
+    assert "must be integers" in err
+
+
 def test_invariants_human(ex_file, capsys):
     code, out, err = run(capsys, "invariants", ex_file)
     assert code == 0

@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import json
+from itertools import combinations
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from clutterlab import (
     ClutterParseError,
@@ -54,6 +56,22 @@ def test_json_round_trip():
     assert clutter_from_json_dict(json.loads(json.dumps(blob))) == EX
 
 
+@st.composite
+def clutters(draw):
+    n = draw(st.integers(1, 12))
+    d = draw(st.integers(1, 4))
+    subsets = list(combinations(range(1, n + 1), d))
+    picked = draw(st.lists(st.sampled_from(subsets), max_size=40)) if subsets else []
+    return make_clutter(n, d, picked)
+
+
+@given(clutters())
+@example(make_clutter(4, 3, []))
+def test_round_trips_on_random_clutters(c):
+    assert parse_clutter(clutter_to_text(c)) == c
+    assert parse_clutter(clutter_to_json(c)) == c
+
+
 def test_parse_errors_carry_line_numbers():
     with pytest.raises(ClutterParseError) as exc:
         parse_clutter("5 3\n1 2\n")
@@ -77,6 +95,13 @@ def test_parse_rejects_semantic_errors():
         parse_clutter('{"n": 5, "d": 3, "circuits": "nope"}')
     with pytest.raises(ClutterParseError):
         parse_clutter('{bad json')
+    # JSON true and false load as bool, a subclass of int; neither is a number here
+    for blob in ('{"n": true, "d": true, "circuits": [[true]]}',
+                 '{"n": true, "d": 1, "circuits": [[1]]}',
+                 '{"n": 3, "d": true, "circuits": [[2]]}',
+                 '{"n": 3, "d": 2, "circuits": [[true, 2]]}'):
+        with pytest.raises(ClutterParseError):
+            parse_clutter(blob)
 
 
 def test_parse_file(tmp_path):

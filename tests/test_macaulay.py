@@ -6,6 +6,7 @@ import random
 from math import comb
 
 import pytest
+from hypothesis import given, strategies as st
 
 from clutterlab import (
     UnrealizableLambda,
@@ -32,11 +33,12 @@ from clutterlab import (
     mu_direct,
     mu_via_lemma,
     p_polynomial,
+    random_chordal_clutter,
     random_strongly_stable_ideal,
     strongly_stable_closure,
     validate_lambda,
 )
-from clutterlab.polynomials import IntPolynomial
+from clutterlab.polynomials import IntPolynomial, binom
 
 
 def test_macaulay_representation_examples():
@@ -244,6 +246,47 @@ def test_extremal_lambda_profile():
     for n in range(4, 8):
         for i in range(1, n - 3 + 1):
             assert is_valid_lambda(n, 3, extremal_lambda_profile(n, 3, i))
+
+
+def test_lambda_max_and_profile_match_alpha_formulas():
+    # the alpha-based forms the closed forms replaced, kept as the reference
+    def ref_lambda_max(n, d, i):
+        return alpha_sequence(n, d).alpha[i] + binom(n - 1 - i, d - 1)
+
+    def ref_profile(n, d, i):
+        alpha = alpha_sequence(n, d).alpha
+        lam = []
+        for j in range(1, n - d + 1):
+            if j < i:
+                lam.append(alpha[j])
+            elif j == i:
+                lam.append(alpha[j] + binom(n - 1 - i, d - 1))
+            else:
+                lam.append(alpha[j] - binom(n - 1 - j, d - 2))
+        while lam and lam[-1] == 0:
+            lam.pop()
+        return tuple(lam)
+
+    for n in range(2, 40):
+        for d in range(1, n):
+            for i in range(1, n - d + 1):
+                assert lambda_max(n, d, i) == ref_lambda_max(n, d, i), (n, d, i)
+                assert extremal_lambda_profile(n, d, i) == ref_profile(n, d, i), (n, d, i)
+    assert lambda_max(10**12, 3, 1) == comb(10**12 - 1, 2)
+    for bad_d in (0, -1):
+        with pytest.raises(ValueError):
+            lambda_max(5, bad_d, 1)
+        with pytest.raises(ValueError):
+            extremal_lambda_profile(5, bad_d, 1)
+
+
+@given(st.integers(4, 9), st.integers(1, 3), st.integers(0, 8), st.integers(0, 2**32))
+def test_lambda_lsequence_round_trip_on_chordal_clutters(n, d, steps, seed):
+    c = random_chordal_clutter(n, d, steps=steps, rng=random.Random(seed))
+    if c.num_circuits == comb(n, d):
+        return  # the complete clutter has no l-sequence
+    lam = lambda_of(c)
+    assert lambda_from_lsequence(n, d, lsequence_from_lambda(n, d, lam)) == lam
 
 
 def test_extremal_clutter():
