@@ -9,12 +9,22 @@ along the way does not depend on the order chosen, which is what makes
 it (and the lambda-sequence derived from it) an invariant worth
 computing.
 
-Every backtracking search here runs through one driver,
-_deletion_sequences: a depth-first search over deletion states from a
-start clutter down to a target clutter (the empty one for simplicial
-orders, the input for co-chordality).  It keeps its path on an explicit
-stack, so the length of an order is not bounded by Python's recursion
-limit, and it has two standing rules:
+Every search here reads its candidates off one mutable deletion state,
+_DeletionState: the live circuit set, the neighborhood map e -> N(e),
+the set of simplicial elements, and a lexicographic rank per element
+fixed once from the start clutter (deletions only remove circuits, so
+no element appears later that was not there at the start).  Deleting e
+updates the state in place and records what changed, so the deletion
+can be undone; the update rule and its soundness are below.
+replay_order does not use the state: it certifies a witness by
+recomputing every step from the circuits alone.
+
+The backtracking searches run through one driver, _deletion_sequences:
+a depth-first search over deletion states from a start clutter down to
+a target clutter (the empty one for simplicial orders, the input for
+co-chordality).  It keeps its path on an explicit stack, so the length
+of an order is not bounded by Python's recursion limit, and it has two
+standing rules:
 
 * candidates are tried in lexicographic order of their vertex tuples,
   so the sequences come out in a fixed order and the first one is the
@@ -30,14 +40,39 @@ of its candidates was tried and none completed, so it has no completion
 on any path, and skipping it later loses no sequence.  States that did
 complete are never memoized, so every completion is still enumerated.
 find_simplicial_order, enumerate_simplicial_orders and
-co_chordal_sequence are thin callers of the driver.
+co_chordal_sequence are thin callers of the driver.  Greedy deletion
+(always take the first simplicial element, never back up) reads its
+candidates off the same state.  A stuck greedy run proves nothing: no
+result of this module treats "greedy failed" as "not chordal".
 
-Greedy deletion (always take the first simplicial element) is exposed
-separately as a fast path and stays a plain loop: it neither backtracks
-nor memoizes, so running it through the driver would need a
-no-backtracking switch that no other caller wants.  A stuck greedy run
-proves nothing: no result of this module treats "greedy failed" as
-"not chordal".
+Why the incremental update is exact.  Write C for the circuits before
+deleting e and C' for those after, N(f) and N'(f) for the open
+neighborhood of f in C and in C', and N[f] = f + N(f), N'[f] = f + N'(f)
+for the closed ones.
+
+* Removed circuits.  Deleting e removes the circuits containing e, and
+  a d-set contains the (d-1)-set e exactly when it is e + {c} for a
+  vertex c, which is a circuit exactly when c is in N(e).  So
+  C - C' = {e + {c} : c in N(e)}, read off N(e) without a scan of C.
+* Which neighborhoods change.  c leaves N(f) exactly when f + {c} is a
+  removed circuit, so the neighborhoods that shrink are those of the
+  (d-1)-subsets of removed circuits, and no neighborhood grows:
+  N'(f) is a subset of N(f).  An element whose neighborhood becomes
+  empty is no longer submaximal and leaves the map.
+* Non-cliques stay non-cliques unless their neighborhood shrank.  If
+  N'(f) = N(f) and N[f] was not a clique in C, some d-subset of N[f] is
+  missing from C; it is missing from C', a subset of C, as well.  A
+  non-simplicial f whose neighborhood shrank gets a fresh clique test.
+* Cliques: one bit test.  If N[f] was a clique in C, every d-subset of
+  N'[f], a subset of N[f], was a circuit of C, and the only circuits C'
+  lacks are the removed ones.  So N'[f] is a clique in C' exactly when
+  no removed circuit e + {c} lies inside it, that is, unless e is a
+  subset of N'[f] and some c in N(e) is in N'[f]: on masks,
+  e & ~N'[f] == 0 and N(e) & N'[f] != 0.  This holds whether or not
+  N(f) shrank, so a simplicial element never needs a clique test.
+
+An undo restores the removed circuits (again read off N(e)), the saved
+old neighborhoods and the simplicial flags the deletion flipped.
 """
 
 from __future__ import annotations
@@ -88,28 +123,79 @@ class SimplicialOrder:
         return tuple(s for _, s in self.steps)
 
 
-# ----- simplicial elements -------------------------------------------------
+# ----- the deletion state ---------------------------------------------------
 
 
-def _simplicial_candidates(state: frozenset[int], d: int) -> list[tuple[int, int]]:
-    """(element mask, neighborhood mask) pairs, lex sorted by vertex tuple."""
+def _circuits_through(e: int, nbr: int) -> list[int]:
+    """The circuits e + {c} for each vertex c of the neighborhood mask nbr."""
     out = []
-    for e, nbr in neighborhood_map(state).items():
-        if mask_is_clique(state, e | nbr, d):
-            out.append((e, nbr))
-    out.sort(key=lambda pair: verts_of(pair[0]))
+    while nbr:
+        low = nbr & -nbr
+        out.append(e | low)
+        nbr ^= low
     return out
+
+
+class _DeletionState:
+    """Circuits, neighborhoods and simplicial elements under deletion.
+
+    delete(e) removes every circuit containing e and updates the
+    neighborhood map and the simplicial set by the rule in the module
+    docstring; undo() reverts the latest deletion not yet undone.
+    """
+
+    __slots__ = ("d", "circuits", "nbrs", "simplicial", "rank", "_undo")
+
+    def __init__(self, circuits: frozenset[int], d: int):
+        self.d = d
+        self.circuits = set(circuits)
+        self.nbrs = neighborhood_map(circuits)
+        self.simplicial = {e for e, nbr in self.nbrs.items()
+                           if mask_is_clique(self.circuits, e | nbr, d)}
+        self.rank = {e: i for i, e in enumerate(sorted(self.nbrs, key=verts_of))}
+        # Per deletion: (e, N(e), old N(f) of every shrunk f, flipped flags).
+        self._undo: list[tuple[int, int, dict[int, int], list[int]]] = []
+
+    def candidates(self) -> list[int]:
+        """The simplicial element masks, lex sorted by vertex tuple."""
+        return sorted(self.simplicial, key=self.rank.__getitem__)
+
+    def delete(self, e: int) -> None:
+        circuits, nbrs, simplicial = self.circuits, self.nbrs, self.simplicial
+        gone = nbrs[e]
+        old: dict[int, int] = {}
+        for m in _circuits_through(e, gone):
+            circuits.remove(m)
+            rest = m
+            while rest:
+                low = rest & -rest
+                f = m ^ low
+                if f not in old:
+                    old[f] = nbrs[f]
+                nbrs[f] ^= low
+                rest ^= low
+        flipped = [f for f in simplicial if not (nbr := nbrs[f])
+                   or (closed := f | nbr) & e == e and closed & gone]
+        for f in old:
+            nbr = nbrs[f]
+            if not nbr:
+                del nbrs[f]
+            elif f not in simplicial and mask_is_clique(circuits, f | nbr, self.d):
+                flipped.append(f)
+        simplicial.symmetric_difference_update(flipped)
+        self._undo.append((e, gone, old, flipped))
+
+    def undo(self) -> None:
+        e, gone, old, flipped = self._undo.pop()
+        self.circuits.update(_circuits_through(e, gone))
+        self.nbrs.update(old)
+        self.simplicial.symmetric_difference_update(flipped)
 
 
 def simplicial_elements(clutter: Clutter) -> frozenset[Vertices]:
     """All simplicial (d-1)-subsets of the clutter."""
-    state = clutter.mask_set()
-    return frozenset(
-        verts_of(e) for e, _ in _simplicial_candidates(state, clutter.d))
-
-
-def _delete_mask(state: frozenset[int], emask: int) -> frozenset[int]:
-    return frozenset(m for m in state if m & emask != emask)
+    state = _DeletionState(clutter.mask_set(), clutter.d)
+    return frozenset(verts_of(e) for e in state.simplicial)
 
 
 # ----- the deletion-sequence driver -----------------------------------------
@@ -124,44 +210,58 @@ def _deletion_sequences(start: frozenset[int], target: frozenset[int], d: int,
     deletion that would remove a circuit of target is never tried.
     States with no completion go into the failed-state memo; with
     max_states set, SearchLimitReached is raised once that many states
-    have been expanded.  The path lives on an explicit stack, so long
-    orders do not touch Python's recursion limit.
+    have been expanded, and a negative max_states raises ValueError.
+    The path lives on an explicit stack, so long orders do not touch
+    Python's recursion limit.
     """
+    if max_states is not None and max_states < 0:
+        raise ValueError(f"max_states must be non-negative, got {max_states}")
     protected = submaximal_circuit_masks(target)
     failed: set[frozenset[int]] = set()
     expanded = yielded = 0
+    live = _DeletionState(start, d)
+    nbrs = live.nbrs
     # The current path: (state, its untried candidates, sequences yielded
-    # before it was entered).  steps[i] is the candidate taken out of
-    # path[i].
-    path: list[tuple[frozenset[int], Iterator[tuple[int, int]], int]] = []
+    # before it was entered).  steps[i] is the (element, neighborhood)
+    # step taken out of path[i]; live holds the state after every step.
+    path: list[tuple[frozenset[int], Iterator[int], int]] = []
     steps: list[tuple[int, int]] = []
     state = start
     while True:
         if state == target:
             yield tuple(steps)
             yielded += 1
+            if steps:
+                steps.pop()
+                live.undo()
         else:
             if max_states is not None:
                 if expanded >= max_states:
                     raise SearchLimitReached(
                         f"no answer after expanding {expanded} states")
                 expanded += 1
-            path.append((state, iter(_simplicial_candidates(state, d)), yielded))
+            path.append((state, iter(live.candidates()), yielded))
         # Back up to the deepest state with an untried candidate whose
         # deletion leaves a state not known to fail; take it.
         while path:
-            del steps[len(path) - 1:]
             here, cands, before = path[-1]
-            cand = next(cands, None)
-            if cand is None:
+            for e in cands:
+                if e not in protected:
+                    nbr = nbrs[e]
+                    state = here.difference(_circuits_through(e, nbr))
+                    if state not in failed:
+                        break
+            else:
                 path.pop()
                 if yielded == before:
                     failed.add(here)
-            elif cand[0] not in protected:
-                state = _delete_mask(here, cand[0])
-                if state not in failed:
-                    steps.append(cand)
-                    break
+                if steps:
+                    steps.pop()
+                    live.undo()
+                continue
+            live.delete(e)
+            steps.append((e, nbr))
+            break
         else:
             return
 
@@ -181,7 +281,8 @@ def find_simplicial_order(clutter: Clutter,
     None is a definitive negative: the backtracking search exhausted
     every deletion sequence.  With max_states set, the search raises
     SearchLimitReached once that many distinct states have been
-    expanded, leaving the question open.
+    expanded, leaving the question open; a negative max_states raises
+    ValueError.
     """
     steps = next(_deletion_sequences(clutter.mask_set(), frozenset(),
                                      clutter.d, max_states), None)
@@ -198,17 +299,16 @@ def greedy_simplicial_order(clutter: Clutter) -> SimplicialOrder | None:
     Returns None when stuck.  A stuck run is not evidence against
     chordality; use find_simplicial_order for an actual decision.
     """
-    d = clutter.d
-    state = clutter.mask_set()
+    live = _DeletionState(clutter.mask_set(), clutter.d)
     steps = []
-    while state:
-        cands = _simplicial_candidates(state, d)
+    while live.circuits:
+        cands = live.candidates()
         if not cands:
             return None
-        emask, nbr = cands[0]
-        steps.append((verts_of(emask), nbr.bit_count()))
-        state = _delete_mask(state, emask)
-    return SimplicialOrder(tuple(steps))
+        e = cands[0]
+        steps.append((e, live.nbrs[e]))
+        live.delete(e)
+    return _order(tuple(steps))
 
 
 def enumerate_simplicial_orders(clutter: Clutter,
@@ -257,7 +357,7 @@ def replay_order(clutter: Clutter,
         if not mask_is_clique(state, emask | nbr, d):
             raise ValueError(f"{tuple(e)} is not simplicial at its step")
         sizes.append(nbr.bit_count())
-        state = _delete_mask(state, emask)
+        state = frozenset(m for m in state if m & emask != emask)
     if state:
         raise ValueError(f"{len(state)} circuits remain after the sequence")
     return tuple(sizes)
@@ -316,12 +416,11 @@ def co_chordal_sequence(clutter: Clutter,
     of the complete d-uniform clutter on [n], whose deletions remove
     exactly the complement's circuits.  Returns the sequence (empty for
     the complete clutter itself) or None when no such sequence exists.
+    max_states bounds the search as in find_simplicial_order.
 
     Chordality and co-chordality are logically independent here: one is
     never inferred from the other.
     """
-    if clutter.n < clutter.d:
-        return () if not clutter.circuit_masks else None
     start = complete_clutter(clutter.n, clutter.d).mask_set()
     steps = next(_deletion_sequences(start, clutter.mask_set(), clutter.d,
                                      max_states), None)

@@ -80,6 +80,17 @@ class Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _state_budget(text: str) -> int:
+    """--max-states value: a non-negative integer."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
+    return value
+
+
 def _build_parser() -> Parser:
     parser = Parser(prog="clutterlab",
                     description="chordality and resolution invariants "
@@ -90,7 +101,7 @@ def _build_parser() -> Parser:
     p_check = sub.add_parser("check", help="decide chordality of a clutter file")
     p_check.add_argument("file")
     p_check.add_argument("--json", action="store_true", dest="as_json")
-    p_check.add_argument("--max-states", type=int, default=None,
+    p_check.add_argument("--max-states", type=_state_budget, default=None,
                          help="search budget; exceeding it exits 2")
 
     p_inv = sub.add_parser("invariants",
@@ -102,7 +113,7 @@ def _build_parser() -> Parser:
     p_inv.add_argument("--verify", action="store_true",
                        help="cross-check against the enumeration oracles")
     p_inv.add_argument("--json", action="store_true", dest="as_json")
-    p_inv.add_argument("--max-states", type=int, default=None)
+    p_inv.add_argument("--max-states", type=_state_budget, default=None)
 
     p_lam = sub.add_parser("lambda", help="lambda-sequence arithmetic for (n, d)")
     lam_sub = p_lam.add_subparsers(dest="mode", required=True)

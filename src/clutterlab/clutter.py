@@ -273,8 +273,14 @@ def mask_is_clique(circuit_set: frozenset[int] | set[int], vmask: int, d: int) -
     """
     if vmask.bit_count() < d:
         return True
-    for sub in itertools.combinations(verts_of(vmask), d):
-        if mask_of(sub) not in circuit_set:
+    bits = []
+    while vmask:
+        low = vmask & -vmask
+        bits.append(low)
+        vmask ^= low
+    # distinct single bits: their sum is the mask of the d-subset
+    for sub in itertools.combinations(bits, d):
+        if sum(sub) not in circuit_set:
             return False
     return True
 

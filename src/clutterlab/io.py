@@ -43,8 +43,8 @@ def clutter_from_json_dict(obj: Any) -> Clutter:
         raise ClutterParseError("JSON clutter n and d must be integers")
     if not isinstance(circuits, list) or not all(isinstance(c, list) for c in circuits):
         raise ClutterParseError("JSON clutter circuits must be a list of lists")
-    if any(isinstance(v, bool) for c in circuits for v in c):
-        raise ClutterParseError("JSON clutter vertices must be integers, not booleans")
+    if any(not isinstance(v, int) or isinstance(v, bool) for c in circuits for v in c):
+        raise ClutterParseError("JSON clutter vertices must be integers")
     try:
         return make_clutter(n, d, circuits)
     except ValueError as exc:

@@ -92,6 +92,15 @@ def test_search_budget_raises():
     assert find_simplicial_order(EX, max_states=10_000) is not None
 
 
+def test_negative_budget_is_rejected():
+    for search in (find_simplicial_order, co_chordal_sequence):
+        with pytest.raises(ValueError, match="non-negative"):
+            search(EX, max_states=-1)
+    # a zero budget still answers when no state needs expanding
+    assert len(find_simplicial_order(make_clutter(5, 3, []), max_states=0)) == 0
+    assert co_chordal_sequence(complete_clutter(5, 3), max_states=0) == ()
+
+
 def test_enumerate_orders_worked_example():
     orders = enumerate_simplicial_orders(EX)
     assert len(orders) > 1

@@ -73,6 +73,14 @@ def test_check_inconclusive_budget(ex_file, capsys):
     assert "inconclusive" in err
 
 
+@pytest.mark.parametrize("command", ["check", "invariants"])
+def test_negative_budget_is_bad_input(ex_file, capsys, command):
+    code, out, err = run(capsys, command, ex_file, "--max-states", "-3")
+    assert code == 64
+    assert out == ""
+    assert "--max-states" in err and "inconclusive" not in err
+
+
 def test_check_missing_file(capsys):
     code, _, err = run(capsys, "check", "/no/such/file")
     assert code == 64

@@ -21,7 +21,7 @@ from clutterlab import (
     open_neighborhood,
     submaximal_circuits,
 )
-from clutterlab.clutter import mask_of, verts_of
+from clutterlab.clutter import mask_is_clique, mask_of, verts_of
 
 # the running worked example: chordal, five circuits on [5]
 EX = make_clutter(5, 3, [(1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4), (1, 4, 5)])
@@ -109,6 +109,19 @@ def test_is_clique_matches_bruteforce_random():
         V = tuple(sorted(rng.sample(range(1, 8), k)))
         expect = all(f in cs for f in combinations(V, 3))
         assert is_clique(C, V) == expect
+
+
+def test_mask_is_clique_matches_bruteforce_exhaustively():
+    # every vertex subset of [6], against clutters of each density
+    rng = random.Random(12)
+    for d in range(1, 5):
+        subsets = list(combinations(range(1, 7), d))
+        for density in (0.0, 0.5, 0.9, 1.0):
+            cs = {f for f in subsets if rng.random() < density}
+            masks = frozenset(mask_of(f) for f in cs)
+            for vmask in range(1 << 6):
+                expect = all(f in cs for f in combinations(verts_of(vmask), d))
+                assert mask_is_clique(masks, vmask, d) == expect, (d, cs, vmask)
 
 
 def test_delete():

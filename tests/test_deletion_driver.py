@@ -7,6 +7,11 @@ signatures), together with the two helpers they call.  The driver must
 return exactly what they return: the same witness, the same co-chordal
 sequence, the same enumeration in the same order, and the same budget
 behaviour.
+
+The driver reads its candidates off an incremental deletion state.  The
+second half of this file checks that state against a from-scratch
+computation (the reference _simplicial_candidates) after every deletion
+and every undo along whole searches.
 """
 
 from __future__ import annotations
@@ -20,12 +25,14 @@ from hypothesis import given, settings, strategies as st
 
 from clutterlab import (
     SearchLimitReached,
+    chordality,
     SimplicialOrder,
     clutter_from_masks,
     co_chordal_sequence,
     complete_clutter,
     enumerate_simplicial_orders,
     find_simplicial_order,
+    greedy_simplicial_order,
     make_clutter,
     replay_order,
 )
@@ -262,6 +269,140 @@ def test_find_and_co_chordal_agree_on_6_3(pick):
     c = picked(6, 3, MASKS_6_3, pick)
     assert find_simplicial_order(c) == ref_find_simplicial_order(c)
     assert co_chordal_sequence(c) == ref_co_chordal_sequence(c)
+
+
+def cycle_with_leaves(k: int):
+    """A 4-cycle 1-2-3-4 with k leaves hung on vertex 1 (d = 2)."""
+    return 4 + k, [(1, 2), (2, 3), (3, 4), (1, 4)] + [(1, 4 + j) for j in range(1, k + 1)]
+
+
+def cycle_with_pendants(k: int):
+    """A 4-cycle plus k vertex-disjoint edges (d = 2)."""
+    return 4 + 2 * k, ([(1, 2), (2, 3), (3, 4), (1, 4)]
+                       + [(3 + 2 * j, 4 + 2 * j) for j in range(1, k + 1)])
+
+
+def octahedron_with_triangles(k: int):
+    """The octahedron's 8 triangles plus k vertex-disjoint triangles (d = 3)."""
+    octa = [(a, b, c) for a in (1, 2) for b in (3, 4) for c in (5, 6)]
+    return 6 + 3 * k, octa + [(3 + 3 * j, 4 + 3 * j, 5 + 3 * j) for j in range(1, k + 1)]
+
+
+@pytest.mark.parametrize("family", [cycle_with_leaves, cycle_with_pendants,
+                                    octahedron_with_triangles])
+def test_nonchordal_families_agree(family):
+    # a non-chordal core plus k simplicial extras: the failed-state memo
+    # grows like 2^k, and budgets run out at every depth of that growth
+    for k in range(5):
+        n, circuits = family(k)
+        c = make_clutter(n, len(circuits[0]), circuits)
+        assert find_simplicial_order(c) is None
+        assert ref_find_simplicial_order(c) is None
+        for budget in (1, 2, 1 << k, 1 << (k + 1)):
+            assert outcome(find_simplicial_order, c, budget) == \
+                outcome(ref_find_simplicial_order, c, budget), (c, budget)
+
+
+# ----- the incremental deletion state ---------------------------------------------
+
+
+class CheckedState(chordality._DeletionState):
+    """The deletion state, compared with a fresh computation after each update.
+
+    After every delete and undo, the live circuit set must be what a plain
+    filter of the previous set gives (for an undo: the set before the
+    deletion), the neighborhood map must be neighborhood_map of the live
+    set, and the candidates, with their neighborhoods, must be the
+    reference _simplicial_candidates in the same order.
+    """
+
+    def __init__(self, circuits, d):
+        super().__init__(circuits, d)
+        self.start = frozenset(circuits)
+        self.before: list[frozenset[int]] = []
+        self.check(self.start)
+
+    def check(self, expected: frozenset[int]) -> None:
+        live = frozenset(self.circuits)
+        assert live == expected
+        assert self.nbrs == neighborhood_map(live)
+        assert [(e, self.nbrs[e]) for e in self.candidates()] == \
+            _simplicial_candidates(live, self.d)
+
+    def delete(self, e: int) -> None:
+        here = frozenset(self.circuits)
+        super().delete(e)
+        self.before.append(here)
+        self.check(_delete_mask(here, e))
+
+    def undo(self) -> None:
+        super().undo()
+        self.check(self.before.pop())
+
+    def at_start(self) -> bool:
+        return frozenset(self.circuits) == self.start and not self.before
+
+
+@pytest.fixture
+def checked_states(monkeypatch):
+    """Every deletion state the searches make is checked; the list holds them."""
+    made: list[CheckedState] = []
+
+    class Recorded(CheckedState):
+        def __init__(self, circuits, d):
+            super().__init__(circuits, d)
+            made.append(self)
+
+    monkeypatch.setattr(chordality, "_DeletionState", Recorded)
+    return made
+
+
+def checked_searches(c: Clutter, made: list[CheckedState]) -> int:
+    """Run greedy, find and co-chordality on c under checked states.
+
+    A search that answers None has run to its end, so its state must be
+    back at the start; returns how many searches did.
+    """
+    greedy_simplicial_order(c)
+    ended = 0
+    for search in (find_simplicial_order, co_chordal_sequence):
+        if search(c) is None:
+            assert made[-1].at_start(), c
+            ended += 1
+    return ended
+
+
+@pytest.mark.parametrize("n,d", [(5, 2), (5, 3)])
+def test_incremental_state_matches_recompute_exhaustively(n, d, checked_states):
+    ended = sum(checked_searches(c, checked_states) for c in all_clutters(n, d))
+    assert ended > 100
+
+
+def test_incremental_state_matches_recompute_on_random(checked_states):
+    ended = 0
+    for n, d in ((6, 4), (7, 3)):
+        rng = random.Random(n * 10 + d)
+        masks = d_subsets(n, d)
+        for _ in range(250):
+            c = clutter_from_masks(n, d, (m for m in masks if rng.random() < 0.5))
+            ended += checked_searches(c, checked_states)
+    assert ended > 100
+
+
+def test_drained_search_returns_the_state_to_its_start(checked_states):
+    # every simplicial order of every graph on [5], so each one ends
+    # only after backing out of every deletion it made
+    total = 0
+    for c in all_clutters(5, 2):
+        total += sum(1 for _ in chordality._deletion_sequences(
+            c.mask_set(), frozenset(), 2, None))
+        assert checked_states[-1].at_start(), c
+    assert total > 10_000
+
+
+def test_negative_budget_is_rejected_by_the_driver():
+    with pytest.raises(ValueError, match="non-negative"):
+        next(chordality._deletion_sequences(frozenset(), frozenset(), 2, -1))
 
 
 # ----- long orders --------------------------------------------------------------

@@ -102,6 +102,10 @@ def test_parse_rejects_semantic_errors():
                  '{"n": 3, "d": 2, "circuits": [[true, 2]]}'):
         with pytest.raises(ClutterParseError):
             parse_clutter(blob)
+    # a vertex of another JSON type is refused for its type, not its range
+    for vertex in ("1.0", '"1"', "null", "true"):
+        with pytest.raises(ClutterParseError, match="^JSON clutter vertices must be integers$"):
+            parse_clutter('{"n": 3, "d": 2, "circuits": [[%s, 2]]}' % vertex)
 
 
 def test_parse_file(tmp_path):
