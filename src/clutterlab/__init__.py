@@ -50,7 +50,6 @@ from .invariants import (
     betti_from_multiset,
     delta_from_multiset,
     f_from_h,
-    f_polynomial_from_multiset,
     f_vector_direct,
     f_vector_from_multiset,
     h_from_f,

@@ -33,7 +33,7 @@ from .chordality import (
     lambda_sequence,
     simplicial_multiset,
 )
-from .clutter import Clutter
+from .clutter import Clutter, complete_clutter
 from .guards import OracleBoundError
 from .homology import hochster_betti
 from .invariants import (
@@ -59,7 +59,6 @@ from .macaulay import (
     lsequence_from_lambda,  # noqa: F401  perfbench/tracing.py patches this name here
     validate_lambda,
 )
-from .clutter import complete_clutter
 
 SCHEMA = "clutterlab-report/1"
 
@@ -153,8 +152,9 @@ def _order_block(order) -> dict:
     }
 
 
-def _chordal_analysis(clutter: Clutter, max_states: int | None) -> dict:
-    """Shared by check and invariants: decide and derive the multiset."""
+def _chordal_analysis(path: str, max_states: int | None) -> tuple[Clutter, dict]:
+    """Shared by check and invariants: parse, decide and derive the multiset."""
+    clutter = parse_clutter_file(path)
     order = find_simplicial_order(clutter, max_states=max_states)
     report = {
         "schema": SCHEMA,
@@ -166,7 +166,7 @@ def _chordal_analysis(clutter: Clutter, max_states: int | None) -> dict:
         report["order"] = _order_block(order)
         report["multiset"] = sorted(ms.elements())
         report["lambda"] = list(lambda_sequence(ms))
-    return report
+    return clutter, report
 
 
 def _print_human_check(report: dict, out) -> None:
@@ -187,12 +187,7 @@ def _print_human_check(report: dict, out) -> None:
 
 
 def cmd_check(args) -> int:
-    clutter = parse_clutter_file(args.file)
-    try:
-        report = _chordal_analysis(clutter, args.max_states)
-    except SearchLimitReached as exc:
-        print(f"inconclusive: {exc}", file=sys.stderr)
-        return EXIT_INCONCLUSIVE
+    _, report = _chordal_analysis(args.file, args.max_states)
     if args.as_json:
         print(json.dumps(report, indent=2))
     else:
@@ -201,12 +196,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_invariants(args) -> int:
-    clutter = parse_clutter_file(args.file)
-    try:
-        report = _chordal_analysis(clutter, args.max_states)
-    except SearchLimitReached as exc:
-        print(f"inconclusive: {exc}", file=sys.stderr)
-        return EXIT_INCONCLUSIVE
+    clutter, report = _chordal_analysis(args.file, args.max_states)
     if not report["chordal"]:
         print("not chordal: invariants are defined through a simplicial order; "
               "run 'clutterlab check' for the negative witness",
@@ -216,21 +206,28 @@ def cmd_invariants(args) -> int:
     n, d = clutter.n, clutter.d
     ms = Counter(report["multiset"])
     want_all = not (args.want_f or args.want_h or args.want_betti)
-    delta = delta_from_multiset(d, ms)
-    report["delta"] = delta
+    show_f = want_all or args.want_f
+    show_betti = want_all or args.want_betti
+    report["delta"] = delta_from_multiset(d, ms)
     report["multiplicity"] = multiplicity(clutter)
-    if want_all or args.want_f:
-        report["f"] = list(f_vector_from_multiset(n, d, ms))
+    # f and Betti are computed once; --verify compares the oracles with them.
+    if show_f or args.verify:
+        f = list(f_vector_from_multiset(n, d, ms))
+        if show_f:
+            report["f"] = f
     if want_all or args.want_h:
         report["h"] = list(h_vector_from_multiset(n, d, ms))
-    if want_all or args.want_betti:
+    if show_betti or args.verify:
         try:
-            betti = betti_from_multiset(n, d, ms)
-            report["betti"] = list(betti)
-            report["projective_dimension"] = len(betti) - 1
+            betti = list(betti_from_multiset(n, d, ms))
         except ValueError as exc:
-            report["betti"] = None
-            report["betti_note"] = str(exc)
+            betti, note = None, str(exc)
+        if show_betti:
+            report["betti"] = betti
+            if betti is None:
+                report["betti_note"] = note
+            else:
+                report["projective_dimension"] = len(betti) - 1
     diag = validate_lambda(n, d, report["lambda"])
     report["macaulay"] = None if diag.l_sequence is None else {
         "l_sequence": list(diag.l_sequence),
@@ -240,13 +237,25 @@ def cmd_invariants(args) -> int:
     code = EXIT_OK
     if args.verify:
         try:
-            report["verify"] = _verify_block(clutter, report)
+            fv = f_vector_direct(clutter)
+            table = hochster_betti(clutter)
         except OracleBoundError as exc:
             # The invariants above stand without the oracles; keep them.
             report["verify"] = {"skipped": str(exc)}
             print(f"verify skipped: {exc}", file=sys.stderr)
         else:
-            if not report["verify"]["agreement"]:
+            verify = report["verify"] = {
+                "f_direct": list(fv),
+                "betti_oracle": list(table.totals()),
+                "graded_betti": table.to_json(),
+                "linear_resolution": table.is_linear(),
+            }
+            verify["agreement"] = (
+                f == verify["f_direct"]
+                and (betti or []) == verify["betti_oracle"]
+                and verify["linear_resolution"]
+            )
+            if not verify["agreement"]:
                 print("VERIFICATION MISMATCH: formula and oracle disagree; "
                       "this is a bug worth reporting", file=sys.stderr)
                 code = EXIT_NOT_CHORDAL
@@ -256,29 +265,6 @@ def cmd_invariants(args) -> int:
     else:
         _print_human_invariants(report)
     return code
-
-
-def _verify_block(clutter: Clutter, report: dict) -> dict:
-    fv = f_vector_direct(clutter)
-    table = hochster_betti(clutter)
-    verify = {
-        "f_direct": list(fv),
-        "betti_oracle": list(table.totals()),
-        "graded_betti": table.to_json(),
-        "linear_resolution": table.is_linear(),
-    }
-    ms = Counter(report["multiset"])
-    formula_f = list(f_vector_from_multiset(clutter.n, clutter.d, ms))
-    try:
-        formula_betti = list(betti_from_multiset(clutter.n, clutter.d, ms))
-    except ValueError:
-        formula_betti = []
-    verify["agreement"] = (
-        formula_f == verify["f_direct"]
-        and formula_betti == verify["betti_oracle"]
-        and verify["linear_resolution"]
-    )
-    return verify
 
 
 def _print_human_invariants(report: dict) -> None:
@@ -386,25 +372,15 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.command == "check":
-            return cmd_check(args)
-        if args.command == "invariants":
-            return cmd_invariants(args)
-        if args.command == "lambda":
-            return cmd_lambda(args)
-        if args.command == "generate":
-            return cmd_generate(args)
-        raise UsageError(f"unknown command {args.command!r}")
-    except UsageError as exc:
+        command = {"check": cmd_check, "invariants": cmd_invariants,
+                   "lambda": cmd_lambda, "generate": cmd_generate}[args.command]
+        return command(args)
+    except SearchLimitReached as exc:
+        print(f"inconclusive: {exc}", file=sys.stderr)
+        return EXIT_INCONCLUSIVE
+    except (UsageError, ClutterParseError, OracleBoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except ClutterParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except OracleBoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-
 
 if __name__ == "__main__":
     sys.exit(main())

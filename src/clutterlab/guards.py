@@ -23,7 +23,11 @@ class OracleBoundError(ValueError):
 
 
 def oracle_cap(default: int, override: int | None = None) -> int:
-    """Resolve a cap: explicit argument, then environment, then default."""
+    """Resolve a cap: explicit argument, then environment, then default.
+
+    A malformed environment value raises OracleBoundError, so callers that
+    skip an oracle above its cap skip it for that reason too.
+    """
     if override is not None:
         return override
     env = os.environ.get(ENV_VAR)
@@ -31,7 +35,7 @@ def oracle_cap(default: int, override: int | None = None) -> int:
         try:
             return int(env)
         except ValueError as exc:
-            raise ValueError(f"{ENV_VAR} must be an integer, got {env!r}") from exc
+            raise OracleBoundError(f"{ENV_VAR} must be an integer, got {env!r}") from exc
     return default
 
 

@@ -5,7 +5,7 @@ collected by any complete simplicial order determines the face numbers
 of the clique complex, hence the h-vector of its Stanley-Reisner
 quotient, hence (the resolution being d-linear) the total Betti numbers
 of the circuit ideal.  This module walks that chain, one step per
-function, with exact integer polynomial arithmetic: the multiset gives
+function, on plain integer coefficient tuples: the multiset gives
 f (f_vector_from_multiset), f gives h (h_from_f), and h gives the Betti
 numbers (betti_from_h).  h_vector_from_multiset and betti_from_multiset
 are those steps composed.  The oracle f_vector_direct counts the faces
@@ -29,7 +29,7 @@ from math import comb
 from .clutter import Clutter, verts_of  # noqa: F401  perfbench/tracing.py patches this name here
 from .guards import F_VECTOR_DEFAULT, check_cap
 from .homology import clique_complex_faces
-from .polynomials import IntPolynomial, binom, one_minus_t
+from .polynomials import binom
 
 FVector = tuple[int, ...]
 HVector = tuple[int, ...]
@@ -51,38 +51,31 @@ def delta_from_multiset(d: int, multiset: Counter | Iterable[int]) -> int:
 
     The empty multiset (empty clutter) degenerates to delta = d - 1.
     """
-    counts = _as_counts(multiset)
-    top = max(counts) if counts else 0
-    return top + d - 1
+    return max(_as_counts(multiset), default=0) + d - 1
 
 
 # ----- f ---------------------------------------------------------------------
 
 
-def f_polynomial_from_multiset(n: int, d: int,
-                               multiset: Counter | Iterable[int]) -> IntPolynomial:
-    """f-polynomial of the clique complex from a simplicial multiset.
+def f_vector_from_multiset(n: int, d: int,
+                           multiset: Counter | Iterable[int]) -> FVector:
+    """f-vector (f_-1, ..., f_{delta-1}) of the clique complex from a multiset.
 
     f(t) = sum_{i<d} C(n,i) t^i  +  t^(d-1) * sum_i M_i t^i, where
-    M_i sums C(size, i) over the multiset.  The tests check this against
-    the equivalent closed form through (1+t)^size - 1.
+    M_i sums C(size, i) over the multiset.  Trailing zeros are dropped,
+    so for n < d - 1 the vector stops at f_{n-1}.  The tests check this
+    against the equivalent closed form through (1+t)^size - 1.
     """
     counts = _as_counts(multiset)
     if any(size > n - d + 1 for size in counts):
         raise ValueError("a neighborhood size exceeds n - d + 1")
-    base = IntPolynomial([binom(n, i) for i in range(d)])
-    top = max(counts) if counts else 0
-    m_terms = [0] + [
+    f = [binom(n, i) for i in range(d)] + [
         sum(mult * binom(size, i) for size, mult in counts.items())
-        for i in range(1, top + 1)
+        for i in range(1, max(counts, default=0) + 1)
     ]
-    return base + IntPolynomial(m_terms).shift(d - 1)
-
-
-def f_vector_from_multiset(n: int, d: int,
-                           multiset: Counter | Iterable[int]) -> FVector:
-    """Coefficients of the f-polynomial, i.e. (f_-1, ..., f_{delta-1})."""
-    return f_polynomial_from_multiset(n, d, multiset).coeffs
+    while f and f[-1] == 0:
+        f.pop()
+    return tuple(f)
 
 
 def f_vector_direct(clutter: Clutter, max_n: int | None = None) -> FVector:
@@ -134,13 +127,13 @@ def h_vector_from_multiset(n: int, d: int,
 # ----- Betti -----------------------------------------------------------------
 
 
-def _betti_from_expansion(poly: IntPolynomial, d: int) -> BettiSequence:
-    """Read (beta_i) off 1 + sum (-1)^(i+1) beta_i t^(i+d).
+def _betti_from_expansion(coeffs: tuple[int, ...], d: int) -> BettiSequence:
+    """Read (beta_i) off the coefficients of 1 + sum (-1)^(i+1) beta_i t^(i+d).
 
     Enforces the d-linear shape: constant term 1, nothing in degrees
     1..d-1, then strictly alternating signs with no interior zeros.
+    Trailing zeros are allowed.
     """
-    coeffs = list(poly.coeffs)
     if not coeffs or coeffs[0] != 1:
         raise ValueError("expansion does not start at 1: not a d-linear shape")
     for k in range(1, min(d, len(coeffs))):
@@ -174,7 +167,12 @@ def betti_from_h(n: int, d: int, h: HVector, delta: int) -> BettiSequence:
         raise ValueError(f"h-vector longer than delta + 1 = {delta + 1}")
     if delta > n:
         raise ValueError(f"delta = {delta} cannot exceed n = {n}")
-    expansion = one_minus_t(n - delta) * IntPolynomial(h)
+    m = n - delta
+    # tuple([...]), not tuple(generator): see the note in hochster_betti.
+    expansion = tuple([
+        sum((-1) ** (k - i) * binom(m, k - i) * h[i] for i in range(min(k + 1, len(h))))
+        for k in range(m + len(h))
+    ])
     return _betti_from_expansion(expansion, d)
 
 

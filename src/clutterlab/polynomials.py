@@ -4,7 +4,9 @@ Every invariant in this package (f-polynomials, h-polynomials, Betti
 generating functions, the alpha-sequence) is a polynomial identity over
 the integers, so coefficients are plain Python ints and no floating
 point ever enters.  Polynomials are kept in canonical form: a tuple of
-coefficients, constant term first, with no trailing zeros.
+coefficients, constant term first, with no trailing zeros.  The
+invariants module works on such tuples directly and needs only binom;
+IntPolynomial serves macaulay.p_polynomial.
 """
 
 from __future__ import annotations
@@ -119,16 +121,3 @@ class IntPolynomial:
                 parts.append(f"{c}*t^{k}")
         return f"IntPolynomial({' + '.join(parts)})"
 
-
-def binomial_power(a: int, sign: int, m: int) -> IntPolynomial:
-    """Expand (a + sign*t)**m directly from binomial coefficients."""
-    if m < 0:
-        raise ValueError(f"non-negative exponent expected, got {m}")
-    return IntPolynomial(
-        [binom(m, k) * a ** (m - k) * sign**k for k in range(m + 1)]
-    )
-
-
-def one_minus_t(m: int) -> IntPolynomial:
-    """(1 - t)**m."""
-    return binomial_power(1, -1, m)

@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from clutterlab import cli
 from clutterlab.cli import main
 
 EX_TEXT = "5 3\n1 2 3\n1 2 4\n1 3 4\n2 3 4\n1 4 5\n"
@@ -67,10 +68,12 @@ def test_check_json_round_trips(ex_file, tmp_path, capsys):
     assert json.loads(out2) == report
 
 
-def test_check_inconclusive_budget(ex_file, capsys):
-    code, _, err = run(capsys, "check", ex_file, "--max-states", "0")
+@pytest.mark.parametrize("command", ["check", "invariants"])
+def test_check_inconclusive_budget(ex_file, capsys, command):
+    code, out, err = run(capsys, command, ex_file, "--max-states", "0")
     assert code == 2
     assert "inconclusive" in err
+    assert out == ""
 
 
 @pytest.mark.parametrize("command", ["check", "invariants"])
@@ -160,6 +163,56 @@ def test_invariants_verify_skipped_above_oracle_cap(tmp_path, capsys, monkeypatc
     code, out, _ = run(capsys, "invariants", str(p), "--verify")
     assert code == 0
     assert "verify: skipped (hochster_betti oracle capped at 12" in out
+
+
+@pytest.mark.parametrize("name, wrong", [
+    ("f_vector_direct", lambda clutter: (1, 5, 10, 5, 2)),
+    ("betti_from_multiset", lambda n, d, ms: (5, 6, 3)),
+])
+def test_invariants_verify_mismatch(ex_file, capsys, monkeypatch, name, wrong):
+    # a disagreement on either side is reported and exits 1
+    monkeypatch.setattr(cli, name, wrong)
+    code, out, err = run(capsys, "invariants", ex_file, "--verify", "--json")
+    assert code == 1
+    assert json.loads(out)["verify"]["agreement"] is False
+    assert "VERIFICATION MISMATCH" in err
+
+
+def test_invariants_verify_skipped_on_malformed_cap(ex_file, capsys, monkeypatch):
+    monkeypatch.setenv("CLUTTERLAB_MAX_N", "abc")
+    code, out, err = run(capsys, "invariants", ex_file, "--verify", "--json")
+    assert code == 0
+    report = json.loads(out)
+    assert report["f"] == [1, 5, 10, 5, 1] and report["betti"] == [5, 6, 2]
+    assert report["verify"] == {
+        "skipped": "CLUTTERLAB_MAX_N must be an integer, got 'abc'"}
+    assert err == "verify skipped: CLUTTERLAB_MAX_N must be an integer, got 'abc'\n"
+
+
+def test_invariants_verify_complete_clutter(tmp_path, capsys):
+    # K(4,3): the circuit ideal is zero, so the formula has no Betti
+    # sequence and the oracle finds none; the two still agree
+    p = tmp_path / "k43.txt"
+    p.write_text("4 3\n1 2 3\n1 2 4\n1 3 4\n2 3 4\n")
+    code, out, err = run(capsys, "invariants", str(p), "--verify", "--json")
+    assert code == 0 and err == ""
+    report = json.loads(out)
+    assert report["betti"] is None
+    assert report["betti_note"] == (
+        "complete clutter: the circuit ideal is zero and has no Betti sequence")
+    assert "projective_dimension" not in report
+    assert report["verify"]["betti_oracle"] == []
+    assert report["verify"]["f_direct"] == report["f"] == [1, 4, 6, 4, 1]
+    assert report["verify"]["agreement"] is True
+
+
+@pytest.mark.parametrize("flag", ["--f", "--h", "--betti"])
+def test_invariants_verify_block_ignores_flags(ex_file, capsys, flag):
+    _, out, _ = run(capsys, "invariants", ex_file, "--verify", "--json")
+    full = json.loads(out)
+    code, out, _ = run(capsys, "invariants", ex_file, flag, "--verify", "--json")
+    assert code == 0
+    assert json.loads(out)["verify"] == full["verify"]
 
 
 def test_invariants_not_chordal(cycle_file, capsys):

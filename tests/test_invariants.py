@@ -15,7 +15,6 @@ from clutterlab import (
     complete_clutter,
     delta_from_multiset,
     f_from_h,
-    f_polynomial_from_multiset,
     f_vector_direct,
     f_vector_from_multiset,
     find_simplicial_order,
@@ -41,27 +40,32 @@ def test_delta():
 
 
 def test_f_polynomial_worked_example():
-    poly = f_polynomial_from_multiset(5, 3, EX_MS)
-    assert poly.coeffs == (1, 5, 10, 5, 1)
     assert f_vector_from_multiset(5, 3, EX_MS) == (1, 5, 10, 5, 1)
 
 
 def test_f_polynomial_matches_closed_form():
-    # f(t) = sum_{i<d} C(n,i) t^i + t^(d-1) * sum_k ((1+t)^size_k - 1)
+    # f(t) = sum_{i<d} C(n,i) t^i + t^(d-1) * sum_k ((1+t)^size_k - 1),
+    # whose coefficients, trailing zeros dropped, are the f-vector.  For
+    # d > n the multiset is empty, and at d = n + 2 the zero C(n, n+1) is
+    # dropped, so f stops at f_{n-1}
     def one_plus_t(m):
         return IntPolynomial([comb(m, k) for k in range(m + 1)])
 
     rng = random.Random(5)
     for _ in range(400):
         n = rng.randint(1, 14)
-        d = rng.randint(1, n)
-        ms = Counter({rng.randint(1, n - d + 1): rng.randint(0, 4)
-                      for _ in range(rng.randint(0, 5))})
+        d = rng.randint(1, n + 2)
+        sizes = range(1, n - d + 2)
+        ms = Counter({rng.choice(sizes): rng.randint(0, 4)
+                      for _ in range(rng.randint(0, 5) if sizes else 0)})
         closed = IntPolynomial([comb(n, i) for i in range(d)])
         for size, mult in ms.items():
             bump = (one_plus_t(size) - IntPolynomial([1])).scale(mult)
             closed = closed + bump.shift(d - 1)
-        assert f_polynomial_from_multiset(n, d, ms) == closed, (n, d, ms)
+        assert f_vector_from_multiset(n, d, ms) == closed.coeffs, (n, d, ms)
+    for n, d in ((1, 3), (2, 4), (3, 5)):
+        assert f_vector_from_multiset(n, d, Counter()) == tuple(
+            comb(n, i) for i in range(n + 1))
 
 
 def test_f_vector_direct_worked_example():

@@ -5,10 +5,12 @@ unchanged apart from their names: the Hochster sweep that regrew and
 sorted the faces of every vertex subset, the face grower it called,
 the private clique-growing loop of f_vector_direct, and the direct
 polynomial expansions of the h-vector and the Betti numbers from a
-simplicial multiset.  Today's code builds one clique complex per
-oracle call and derives h and Betti from f through h_from_f and
-betti_from_h; it must return exactly what the references return, and
-raise ValueError exactly where they do.
+simplicial multiset, with the (1-t)^m helper they called (the Betti
+expansion now hands _betti_from_expansion its coefficient tuple).
+Today's code builds one clique complex per oracle call and derives h
+and Betti from f through h_from_f and betti_from_h; it must return
+exactly what the references return, and raise ValueError exactly where
+they do.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from clutterlab.homology import (
     reduced_homology_ranks,
 )
 from clutterlab.invariants import _as_counts, _betti_from_expansion, delta_from_multiset
-from clutterlab.polynomials import IntPolynomial, binom, one_minus_t
+from clutterlab.polynomials import IntPolynomial, binom
 
 # ----- reference: the oracle side ----------------------------------------------
 
@@ -165,6 +167,13 @@ def ref_f_vector_direct(clutter: Clutter, max_n: int | None = None):
 # ----- reference: the formula side ---------------------------------------------
 
 
+def one_minus_t(m: int) -> IntPolynomial:
+    """(1 - t)**m from binomial coefficients."""
+    if m < 0:
+        raise ValueError(f"non-negative exponent expected, got {m}")
+    return IntPolynomial([(-1) ** k * binom(m, k) for k in range(m + 1)])
+
+
 def ref_h_polynomial_from_multiset(n: int, d: int,
                                    multiset: Counter | Iterable[int]) -> IntPolynomial:
     """h-polynomial straight from the multiset.
@@ -225,7 +234,7 @@ def ref_betti_from_multiset(n: int, d: int,
     for size, mult in counts.items():
         diff = one_minus_t(n - size - d + 1) - one_minus_t(n - d + 1)
         tail = tail + diff.scale(mult)
-    return _betti_from_expansion(poly + tail.shift(d - 1), d)
+    return _betti_from_expansion((poly + tail.shift(d - 1)).coeffs, d)
 
 
 # ----- comparisons -------------------------------------------------------------
