@@ -12,9 +12,16 @@ Usage summary (see README for the file formats):
     clutterlab generate extremal N D I [-o FILE] [--json]
 
 Exit codes: 0 success (chordal where that is the question), 1 not
-chordal (or a failed verification), 2 search inconclusive under a
---max-states budget, 64 malformed input or arguments.  Data goes to
-stdout, diagnostics to stderr.  JSON reports carry a schema tag and
+chordal (or a failed verification), 2 inconclusive: the search hit its
+--max-states budget, or the run ran out of memory or recursion depth,
+64 malformed input or arguments.  Data goes to stdout, diagnostics to
+stderr.
+
+Requests whose answer is too big are refused with exit 64 before any
+work: `generate` above GENERATE_MAX_CIRCUITS d-subsets C(n, d), and
+`lambda` when the largest number it would print has more than
+LAMBDA_MAX_DIGITS digits, which stays below Python's 4300-digit limit
+on converting an int to text.  JSON reports carry a schema tag and
 embed the parsed input, so piping a report's "input" object back into
 the tool reproduces the report.
 """
@@ -25,6 +32,7 @@ import argparse
 import json
 import sys
 from collections import Counter
+from math import comb, lgamma, log, log10
 
 from . import __version__
 from .chordality import (
@@ -33,7 +41,7 @@ from .chordality import (
     lambda_sequence,
     simplicial_multiset,
 )
-from .clutter import Clutter, complete_clutter
+from .clutter import MAX_VERTICES, Clutter, complete_clutter
 from .guards import OracleBoundError
 from .homology import hochster_betti
 from .invariants import (
@@ -66,6 +74,9 @@ EXIT_OK = 0
 EXIT_NOT_CHORDAL = 1
 EXIT_INCONCLUSIVE = 2
 EXIT_INPUT = 64
+
+GENERATE_MAX_CIRCUITS = 10**6
+LAMBDA_MAX_DIGITS = 4000
 
 
 class UsageError(Exception):
@@ -308,8 +319,32 @@ def _parse_sequence(text: str) -> tuple[int, ...]:
         raise UsageError(f"expected a comma-separated integer list, got {text!r}")
 
 
+def _log10_binom(m: int, k: int) -> float:
+    """log10 C(m, k) without computing C(m, k); -inf where it is 0.
+
+    lgamma is accurate to about 0.01 digits while m <= 10**12.  Beyond
+    that, k' = min(k, m - k) < 450 sums the k' factors of the product,
+    and a larger k' gives C(m, k) >= (m / k')**k' > 10**4200.
+    """
+    k = min(k, m - k)
+    if k < 0:
+        return float("-inf")
+    if m <= 10**12:
+        return (lgamma(m + 1) - lgamma(k + 1) - lgamma(m - k + 1)) / log(10)
+    if k < 450:
+        return sum(log10(m - j) - log10(j + 1) for j in range(k))
+    return float("inf")
+
+
 def cmd_lambda(args) -> int:
     n, d = args.n, args.d
+    i = getattr(args, "index", 1)
+    # The largest number each mode prints is one of these binomials.
+    biggest = {"max": [(n - i, d - 1)], "profile": [(n - i, d - 1), (n - 2, d - 2)],
+               "complete": [(n - 2, d - 2)], "validate": [(n - 1, d - 1)]}[args.mode]
+    if max(_log10_binom(m, k) for m, k in biggest) >= LAMBDA_MAX_DIGITS:
+        raise UsageError(f"the answer would print a number over the lambda cap "
+                         f"of {LAMBDA_MAX_DIGITS} digits")
     out: dict = {"schema": SCHEMA, "n": n, "d": d, "mode": args.mode}
     try:
         if args.mode == "max":
@@ -348,11 +383,15 @@ def cmd_lambda(args) -> int:
 
 
 def cmd_generate(args) -> int:
+    n, d = args.n, args.d
+    if 0 <= d <= n <= MAX_VERTICES and comb(n, d) > GENERATE_MAX_CIRCUITS:
+        raise UsageError(f"C({n}, {d}) = {comb(n, d)} exceeds the generate cap "
+                         f"of {GENERATE_MAX_CIRCUITS} circuits")
     try:
         if args.mode == "complete":
-            clutter = complete_clutter(args.n, args.d)
+            clutter = complete_clutter(n, d)
         else:
-            clutter = extremal_clutter(args.n, args.d, args.index)
+            clutter = extremal_clutter(n, d, args.index)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     payload = clutter_to_json(clutter) if args.as_json else clutter_to_text(clutter)
@@ -375,8 +414,9 @@ def main(argv: list[str] | None = None) -> int:
         command = {"check": cmd_check, "invariants": cmd_invariants,
                    "lambda": cmd_lambda, "generate": cmd_generate}[args.command]
         return command(args)
-    except SearchLimitReached as exc:
-        print(f"inconclusive: {exc}", file=sys.stderr)
+    except (SearchLimitReached, MemoryError, RecursionError) as exc:
+        # Out of memory or stack is no answer either, never "not chordal".
+        print(f"inconclusive: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return EXIT_INCONCLUSIVE
     except (UsageError, ClutterParseError, OracleBoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -2,14 +2,32 @@
 
 This is the package's independent referee.  The graded Betti numbers
 of a squarefree monomial ideal decompose over vertex subsets W into
-reduced homology ranks of the induced subcomplex:
+reduced homology ranks of the induced subcomplex (Hochster 1977):
 
     beta_{i,j}(ideal) = sum over |W| = j of rank H~_{j-i-2}(complex_W)
 
-computed here over the rationals with exact integer arithmetic
-(fraction-free Gaussian elimination on the boundary matrices).  Nothing
-in this module knows about simplicial orders or multisets, so an
-agreement with the formula side is genuine evidence.
+with homology over the rationals.  Nothing in this module knows about
+simplicial orders or multisets, so an agreement with the formula side
+is genuine evidence.
+
+Ranks are computed over GF(2) first, where a boundary row is one
+Python int and elimination is XOR, and are certified exact over Q:
+
+- By the universal coefficient theorem, H~_k(D; F) is
+  H~_k(D; Z) (x) F plus Tor(H~_{k-1}(D; Z), F), so for every k
+  dim H~_k(D; F_2) >= rank H~_k(D; Z) = dim H~_k(D; Q).
+- The reduced Euler characteristic, sum (-1)^k dim H~_k(D; F), is the
+  alternating sum of the face counts, the same for every field.
+
+So the differences dim H~_k(D; F_2) - dim H~_k(D; Q) are non-negative
+and their alternating sum is zero.  When the F_2 homology is nonzero in
+at most one degree, every other difference is zero because the F_2
+side is, and then the remaining one is zero too: the F_2 ranks are the
+rational ranks.  Any other complex falls back to exact fraction-free
+(Bareiss) elimination over the integers, so the oracle stays exact over
+Q.  A sweep that never falls back has also found the F_2 and Q tables
+equal, which checks at characteristic 2 that the resolution does not
+depend on the field.
 
 The clique complex on all n vertices is built once per call; the
 complex induced on a subset W is read off it by keeping the faces that
@@ -46,9 +64,6 @@ class FaceList:
     @property
     def face_count(self) -> int:
         return sum(len(level) for level in self.by_size)
-
-    def all_masks(self) -> frozenset[int]:
-        return frozenset(m for level in self.by_size for m in level)
 
 
 def clique_complex_faces(clutter: Clutter, within: Iterable[int],
@@ -141,8 +156,6 @@ def integer_matrix_rank(rows: list[list[int]]) -> int:
 
 def _boundary_rank(upper: tuple[int, ...], lower: tuple[int, ...]) -> int:
     """Rank of the boundary map from size-(k+1) faces to size-k faces."""
-    if not upper or not lower:
-        return 0
     index = {m: c for c, m in enumerate(lower)}
     rows = []
     for fmask in upper:
@@ -155,35 +168,70 @@ def _boundary_rank(upper: tuple[int, ...], lower: tuple[int, ...]) -> int:
     return integer_matrix_rank(rows)
 
 
-def reduced_homology_ranks(faces: FaceList) -> tuple[int, ...]:
+def _gf2_rows(by_size: tuple[tuple[int, ...], ...]) -> dict[int, int]:
+    """Each face's boundary over GF(2): the bitmask of its facets' indices.
+
+    A facet's index is its position in the level below.  The rows of
+    the faces inside a vertex subset W touch only faces inside W, so
+    rows built once on a complex serve every induced subcomplex: a
+    rank does not depend on how the columns are numbered.
+    """
+    rows: dict[int, int] = {}
+    for lower, upper in zip(by_size, by_size[1:]):
+        index = {m: 1 << c for c, m in enumerate(lower)}
+        for fmask in upper:
+            rows[fmask] = sum(index[fmask ^ (1 << (v - 1))] for v in verts_of(fmask))
+    return rows
+
+
+def _gf2_rank(rows: Iterable[int]) -> int:
+    """Rank over GF(2) by an XOR basis that keys each row by its top bit.
+
+    A new row is reduced by the basis row with its top bit until it
+    vanishes or brings a new top bit; the rank is the basis size.
+    """
+    basis: dict[int, int] = {}
+    for row in rows:
+        while row:
+            top = row.bit_length()
+            if top not in basis:
+                basis[top] = row
+                break
+            row ^= basis[top]
+    return len(basis)
+
+
+def _homology_ranks(by_size: tuple[tuple[int, ...], ...], rank) -> tuple[int, ...]:
+    """Reduced homology ranks from the boundary ranks that `rank` gives."""
+    maps = [0] + [rank(by_size[k], by_size[k - 1]) for k in range(1, len(by_size))] + [0]
+    return tuple(len(level) - maps[k] - maps[k + 1] for k, level in enumerate(by_size))
+
+
+def reduced_homology_ranks(faces: FaceList,
+                           rows: dict[int, int] | None = None) -> tuple[int, ...]:
     """Reduced rational homology ranks, dimensions -1 through dim.
 
     Entry k of the result is rank H~_{k-1}.  Uses the reduced chain
     complex, so the empty face is a genuine generator in dimension -1
     and every vertex maps onto it.
+
+    The ranks are first taken over GF(2).  F_2 homology bounds rational
+    homology from above in every degree and has the same reduced Euler
+    characteristic, so when it is nonzero in at most one degree it is
+    the rational homology (the argument is in the module docstring).
+    Otherwise the ranks are recomputed over Q by Bareiss elimination;
+    the 6-vertex real projective plane, with F_2 ranks (0, 0, 1, 1) and
+    rational ranks (0, 0, 0, 0), is such a complex.
+
+    `rows` may hold the GF(2) rows of a complex containing this one, as
+    _gf2_rows builds them; by default they are built here.
     """
-    by_size = faces.by_size
-    top = len(by_size) - 1
-    ranks_of_maps = [0] * (top + 2)  # ranks_of_maps[k]: size k -> size k-1
-    for k in range(1, top + 1):
-        ranks_of_maps[k] = _boundary_rank(by_size[k], by_size[k - 1])
-    out = []
-    for k in range(top + 1):
-        out.append(len(by_size[k]) - ranks_of_maps[k] - ranks_of_maps[k + 1])
-    return tuple(out)
-
-
-def _has_cone_vertex(face_masks: frozenset[int], universe: Vertices) -> bool:
-    """A vertex lying in a face with every face is a cone apex.
-
-    Cones are contractible, so all reduced homology vanishes; checking
-    this first skips most of the elimination work.
-    """
-    for v in universe:
-        vbit = 1 << (v - 1)
-        if all(m | vbit in face_masks for m in face_masks):
-            return True
-    return False
+    rows = rows or _gf2_rows(faces.by_size)
+    ranks = _homology_ranks(faces.by_size,
+                            lambda upper, _: _gf2_rank(map(rows.__getitem__, upper)))
+    if sum(map(bool, ranks)) > 1:
+        ranks = _homology_ranks(faces.by_size, _boundary_rank)
+    return ranks
 
 
 # ----- Hochster-style decomposition ------------------------------------------
@@ -239,6 +287,7 @@ def hochster_betti(clutter: Clutter, max_n: int | None = None) -> GradedBettiTab
     vertices = range(1, n + 1)
     complex_levels = clique_complex_faces(
         clutter, vertices, max_n=max(n, FACES_DEFAULT)).by_size
+    rows = _gf2_rows(complex_levels)
     for size in range(n + 1):
         for w in itertools.combinations(vertices, size):
             wmask = mask_of(w)
@@ -250,16 +299,12 @@ def hochster_betti(clutter: Clutter, max_n: int | None = None) -> GradedBettiTab
                 if not inside:
                     break
                 levels.append(inside)
-            faces = FaceList(w, tuple(levels))
-            if _has_cone_vertex(faces.all_masks(), faces.universe):
-                continue
-            ranks = reduced_homology_ranks(faces)
-            for k_plus_1, rank in enumerate(ranks):
-                if rank == 0:
-                    continue
-                i = size - k_plus_1 - 1  # homological position for dim k = k_plus_1 - 1
-                if i >= 0:
-                    table[(i, size)] = table.get((i, size), 0) + rank
+            ranks = reduced_homology_ranks(FaceList(w, tuple(levels)), rows)
+            # dim k = k_plus_1 - 1 books into i = size - k_plus_1 - 1 >= 0
+            for k_plus_1, rank in enumerate(ranks[:size]):
+                if rank:
+                    key = (size - k_plus_1 - 1, size)
+                    table[key] = table.get(key, 0) + rank
     entries = tuple(sorted(table.items()))
     return GradedBettiTable(n, clutter.d, entries)
 

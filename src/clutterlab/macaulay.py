@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, islice
 
 from .clutter import (
     Clutter,
@@ -314,17 +314,23 @@ def extremal_clutter(n: int, d: int, i: int) -> Clutter:
 def complete_lambda(n: int, d: int) -> tuple[int, ...]:
     """lambda-sequence of the complete d-uniform clutter on [n].
 
-    lambda_i = C(n-1-i, d-2) for i = 1..n-d+1; needs n >= d >= 2.
+    lambda_i = C(n-1-i, d-2) for i = 1..n-d+1; needs n >= d >= 2, so
+    n-1-i >= d-2 >= 0 and every entry is positive.
     """
     if d < 2 or n < d:
         raise ValueError(f"need n >= d >= 2, got n={n}, d={d}")
-    lam = [binom(n - 1 - i, d - 2) for i in range(1, n - d + 2)]
-    while lam and lam[-1] == 0:
-        lam.pop()
-    return tuple(lam)
+    return tuple(binom(n - 1 - i, d - 2) for i in range(1, n - d + 2))
 
 
 # ----- squarefree strongly stable ideals -------------------------------------
+
+
+def _down_exchanges(g: int) -> Iterable[int]:
+    """(u - {j}) + {i} for the set u of g, every j in u and i < j outside u."""
+    for j in verts_of(g):
+        for i in range(1, j):
+            if not g >> (i - 1) & 1:
+                yield g ^ (1 << (j - 1)) | (1 << (i - 1))
 
 
 def is_squarefree_strongly_stable(ideal: SquarefreeIdeal) -> bool:
@@ -334,18 +340,7 @@ def is_squarefree_strongly_stable(ideal: SquarefreeIdeal) -> bool:
     set (u - {j}) + {i} must contain some generator.
     """
     gens = ideal.gen_masks
-    for g in gens:
-        members = verts_of(g)
-        for j in members:
-            jbit = 1 << (j - 1)
-            for i in range(1, j):
-                ibit = 1 << (i - 1)
-                if g & ibit:
-                    continue
-                swapped = (g ^ jbit) | ibit
-                if not any(h & swapped == h for h in gens):
-                    return False
-    return True
+    return all(any(h & s == h for h in gens) for g in gens for s in _down_exchanges(g))
 
 
 def m_vector(ideal: SquarefreeIdeal) -> tuple[int, ...]:
@@ -376,16 +371,7 @@ def mu_direct(ideal: SquarefreeIdeal, j: int) -> int:
         raise ValueError("mu_direct needs an equigenerated ideal")
     if j < 0:
         raise ValueError(f"non-negative shift expected, got {j}")
-    size = d + j
-    if size > ideal.n:
-        return 0
-    gens = ideal.gen_masks
-    count = 0
-    for c in combinations(range(1, ideal.n + 1), size):
-        m = mask_of(c)
-        if any(g & m == g for g in gens):
-            count += 1
-    return count
+    return sum(map(ideal.contains, combinations(range(1, ideal.n + 1), d + j)))
 
 
 def mu_via_lemma(ideal: SquarefreeIdeal, j: int) -> int:
@@ -419,17 +405,10 @@ def strongly_stable_closure(n: int, seeds: Iterable[Vertices]) -> SquarefreeIdea
         raise ValueError("seed generators must share one cardinality")
     queue = list(masks)
     while queue:
-        g = queue.pop()
-        for j in verts_of(g):
-            jbit = 1 << (j - 1)
-            for i in range(1, j):
-                ibit = 1 << (i - 1)
-                if g & ibit:
-                    continue
-                swapped = (g ^ jbit) | ibit
-                if swapped not in masks:
-                    masks.add(swapped)
-                    queue.append(swapped)
+        for swapped in _down_exchanges(queue.pop()):
+            if swapped not in masks:
+                masks.add(swapped)
+                queue.append(swapped)
     return ideal_from_masks(n, masks)
 
 
@@ -457,12 +436,8 @@ def ideal_with_m_vector(n: int, d: int, counts: Sequence[int]) -> SquarefreeIdea
             raise ValueError(
                 f"m_{level} = {c} exceeds the {capacity} available "
                 f"{d}-sets with largest vertex {level}")
-        picked = 0
-        for base in combinations(range(1, level), d - 1):
-            if picked == c:
-                break
-            masks.append(mask_of(base) | (1 << (level - 1)))
-            picked += 1
+        masks.extend(mask_of(base) | (1 << (level - 1))
+                     for base in islice(combinations(range(1, level), d - 1), c))
     ideal = ideal_from_masks(n, masks)
     if len(ideal.gen_masks) != sum(counts):
         raise ValueError("greedy selection collapsed generators; no witness built")

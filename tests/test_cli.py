@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import time
+from math import comb, log10
 
 import pytest
 
@@ -299,6 +301,70 @@ def test_generate_json_form(capsys, tmp_path):
     p.write_text(out)
     assert main(["check", str(p)]) == 0
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", [
+    ("generate", "complete", "60", "6"),
+    ("generate", "extremal", "60", "6", "1"),
+    ("lambda", "max", "1000000", "500000", "3"),
+    ("lambda", "profile", "200000", "100000", "50"),
+    ("lambda", "complete", "100000", "50000"),
+    ("lambda", "validate", "100000", "50000", "1"),
+])
+def test_oversized_requests_are_refused_up_front(capsys, argv):
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 1.0
+    assert code == 64 and out == ""
+    cap = cli.GENERATE_MAX_CIRCUITS if argv[0] == "generate" else cli.LAMBDA_MAX_DIGITS
+    assert err.startswith("error: ") and f"cap of {cap} " in err
+
+
+def test_generate_cap_boundary(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "GENERATE_MAX_CIRCUITS", 10)
+    code, out, _ = run(capsys, "generate", "complete", "5", "2")  # C(5, 2) = 10
+    assert code == 0 and len(out.splitlines()) == 11
+    code, _, err = run(capsys, "generate", "extremal", "6", "2", "1")
+    assert code == 64
+    assert err == "error: C(6, 2) = 15 exceeds the generate cap of 10 circuits\n"
+    # parameters the generators reject keep their own message
+    code, _, err = run(capsys, "generate", "complete", "5", "-1")
+    assert code == 64 and "positive uniformity" in err
+
+
+def test_lambda_cap_boundary(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "LAMBDA_MAX_DIGITS", 3)
+    code, out, _ = run(capsys, "lambda", "max", "46", "3", "1")  # C(45, 2) = 990
+    assert code == 0 and out.endswith(": 990\n")
+    code, out, _ = run(capsys, "lambda", "complete", "47", "4")  # C(45, 2) first
+    assert code == 0 and out.startswith("lambda of the complete clutter: [990, ")
+    # C(46, 2) = 1035; the profile's first entry C(47, 2) = 1081 is its largest
+    for argv in (("max", "47", "3", "1"), ("complete", "48", "4"),
+                 ("profile", "47", "3", "1"), ("profile", "49", "4", "45"),
+                 ("validate", "47", "3", "1")):
+        code, out, err = run(capsys, "lambda", *argv)
+        assert code == 64 and out == "" and "cap of 3 digits" in err, argv
+
+
+def test_binomial_digit_estimate():
+    for m, k in [(45, 2), (46, 44), (1000, 500), (10**6, 3), (10**12, 600),
+                 (10**12 + 1, 449), (10**20, 5), (10**400, 2)]:
+        exact = log10(comb(m, k))
+        assert abs(cli._log10_binom(m, k) - exact) < 0.01, (m, k)
+    assert cli._log10_binom(10**12 + 1, 450) == float("inf")
+    assert log10(comb(10**12 + 1, 450)) > 4000
+    for m, k in [(5, -1), (5, 6), (-3, 1)]:
+        assert cli._log10_binom(m, k) == float("-inf")
+
+
+@pytest.mark.parametrize("exc", [MemoryError, RecursionError])
+def test_resource_exhaustion_is_inconclusive(capsys, monkeypatch, exc):
+    def exhausted(*args):
+        raise exc
+
+    monkeypatch.setattr(cli, "complete_clutter", exhausted)
+    code, out, err = run(capsys, "generate", "complete", "4", "3")
+    assert (code, out, err) == (2, "", f"inconclusive: {exc.__name__}\n")
 
 
 def test_unknown_arguments(capsys):

@@ -47,7 +47,7 @@ def test_faces_empty_subset():
 
 def test_faces_closed_downward():
     faces = clique_complex_faces(EX, (1, 2, 3, 4, 5))
-    masks = faces.all_masks()
+    masks = {m for level in faces.by_size for m in level}
     for m in masks:
         v = m
         while v:

@@ -3,24 +3,29 @@
 The reference functions below are the earlier implementations, copied
 unchanged apart from their names: the Hochster sweep that regrew and
 sorted the faces of every vertex subset, the face grower it called,
-the private clique-growing loop of f_vector_direct, and the direct
+the rational homology it ranked with (fraction-free Bareiss
+elimination, with the cone-vertex test that skipped cones), the
+private clique-growing loop of f_vector_direct, and the direct
 polynomial expansions of the h-vector and the Betti numbers from a
 simplicial multiset, with the (1-t)^m helper they called (the Betti
-expansion now hands _betti_from_expansion its coefficient tuple).
-Today's code builds one clique complex per oracle call and derives h
-and Betti from f through h_from_f and betti_from_h; it must return
-exactly what the references return, and raise ValueError exactly where
-they do.
+expansion now hands _betti_from_expansion its coefficient tuple, and
+the sweep builds the face-mask set that FaceList.all_masks gave).
+Today's code builds one clique complex per oracle call, ranks over
+GF(2) with a Bareiss fallback, and derives h and Betti from f through
+h_from_f and betti_from_h; it must return exactly what the references
+return, and raise ValueError exactly where they do.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
+import sys
 from collections import Counter
 from collections.abc import Iterable
 from itertools import combinations
 from math import comb
+from pathlib import Path
 
 import pytest
 
@@ -31,16 +36,14 @@ from clutterlab import (
     f_vector_direct,
     h_vector_from_multiset,
     hochster_betti,
+    make_clutter,
     random_chordal_clutter,
-)
-from clutterlab.clutter import Clutter, mask_of, verts_of
-from clutterlab.guards import F_VECTOR_DEFAULT, FACES_DEFAULT, HOCHSTER_DEFAULT, check_cap
-from clutterlab.homology import (
-    FaceList,
-    GradedBettiTable,
-    _has_cone_vertex,
     reduced_homology_ranks,
 )
+from clutterlab import homology
+from clutterlab.clutter import Clutter, Vertices, mask_of, verts_of
+from clutterlab.guards import F_VECTOR_DEFAULT, FACES_DEFAULT, HOCHSTER_DEFAULT, check_cap
+from clutterlab.homology import FaceList, GradedBettiTable
 from clutterlab.invariants import _as_counts, _betti_from_expansion, delta_from_multiset
 from clutterlab.polynomials import IntPolynomial, binom
 
@@ -94,6 +97,85 @@ def ref_clique_complex_faces(clutter: Clutter, within: Iterable[int],
     return FaceList(w, tuple(levels))
 
 
+def ref_integer_matrix_rank(rows: list[list[int]]) -> int:
+    """Rank over the rationals by fraction-free (Bareiss) elimination."""
+    mat = [row[:] for row in rows if any(row)]
+    if not mat:
+        return 0
+    ncols = len(mat[0])
+    rank = 0
+    prev = 1
+    row = 0
+    for col in range(ncols):
+        pivot = next((r for r in range(row, len(mat)) if mat[r][col]), None)
+        if pivot is None:
+            continue
+        mat[row], mat[pivot] = mat[pivot], mat[row]
+        p = mat[row][col]
+        for r in range(row + 1, len(mat)):
+            factor = mat[r][col]
+            if factor == 0 and prev == 1:
+                continue
+            line = mat[r]
+            top = mat[row]
+            for c in range(col + 1, ncols):
+                line[c] = (p * line[c] - factor * top[c]) // prev
+            line[col] = 0
+        prev = p
+        rank += 1
+        row += 1
+        if row == len(mat):
+            break
+    return rank
+
+
+def ref_boundary_rank(upper: tuple[int, ...], lower: tuple[int, ...]) -> int:
+    """Rank of the boundary map from size-(k+1) faces to size-k faces."""
+    if not upper or not lower:
+        return 0
+    index = {m: c for c, m in enumerate(lower)}
+    rows = []
+    for fmask in upper:
+        row = [0] * len(lower)
+        members = verts_of(fmask)
+        for pos, v in enumerate(members):
+            sub = fmask ^ (1 << (v - 1))
+            row[index[sub]] = -1 if pos % 2 else 1
+        rows.append(row)
+    return ref_integer_matrix_rank(rows)
+
+
+def ref_reduced_homology_ranks(faces: FaceList) -> tuple[int, ...]:
+    """Reduced rational homology ranks, dimensions -1 through dim.
+
+    Entry k of the result is rank H~_{k-1}.  Uses the reduced chain
+    complex, so the empty face is a genuine generator in dimension -1
+    and every vertex maps onto it.
+    """
+    by_size = faces.by_size
+    top = len(by_size) - 1
+    ranks_of_maps = [0] * (top + 2)  # ranks_of_maps[k]: size k -> size k-1
+    for k in range(1, top + 1):
+        ranks_of_maps[k] = ref_boundary_rank(by_size[k], by_size[k - 1])
+    out = []
+    for k in range(top + 1):
+        out.append(len(by_size[k]) - ranks_of_maps[k] - ranks_of_maps[k + 1])
+    return tuple(out)
+
+
+def ref_has_cone_vertex(face_masks: frozenset[int], universe: Vertices) -> bool:
+    """A vertex lying in a face with every face is a cone apex.
+
+    Cones are contractible, so all reduced homology vanishes; checking
+    this first skips most of the elimination work.
+    """
+    for v in universe:
+        vbit = 1 << (v - 1)
+        if all(m | vbit in face_masks for m in face_masks):
+            return True
+    return False
+
+
 def ref_hochster_betti(clutter: Clutter, max_n: int | None = None) -> GradedBettiTable:
     """Graded Betti numbers of the circuit ideal by subset decomposition.
 
@@ -108,9 +190,10 @@ def ref_hochster_betti(clutter: Clutter, max_n: int | None = None) -> GradedBett
     for size in range(n + 1):
         for w in itertools.combinations(vertices, size):
             faces = ref_clique_complex_faces(clutter, w, max_n=max(n, FACES_DEFAULT))
-            if _has_cone_vertex(faces.all_masks(), faces.universe):
+            face_masks = frozenset(m for level in faces.by_size for m in level)
+            if ref_has_cone_vertex(face_masks, faces.universe):
                 continue
-            ranks = reduced_homology_ranks(faces)
+            ranks = ref_reduced_homology_ranks(faces)
             for k_plus_1, rank in enumerate(ranks):
                 if rank == 0:
                     continue
@@ -247,6 +330,12 @@ def all_clutters(n: int, d: int):
         yield clutter_from_masks(n, d, (m for j, m in enumerate(masks) if pick >> j & 1))
 
 
+def random_clutter(n: int, d: int, p: float, rng: random.Random) -> Clutter:
+    """Each d-subset of [n] a circuit with probability p."""
+    masks = [mask_of(c) for c in combinations(range(1, n + 1), d)]
+    return clutter_from_masks(n, d, (m for m in masks if rng.random() < p))
+
+
 def seeded_clutters(count: int, seed: int):
     """Chordal and arbitrary clutters with 6 <= n <= 10 and 2 <= d <= 4.
 
@@ -262,9 +351,7 @@ def seeded_clutters(count: int, seed: int):
         if k % 2:
             yield random_chordal_clutter(n, d, steps=rng.randint(1, 8), rng=rng)
         else:
-            masks = [mask_of(c) for c in combinations(range(1, n + 1), d)]
-            p = rng.choice((0.3, 0.6, 0.9)) if n <= 8 else 0.3
-            yield clutter_from_masks(n, d, (m for m in masks if rng.random() < p))
+            yield random_clutter(n, d, rng.choice((0.3, 0.6, 0.9)) if n <= 8 else 0.3, rng)
 
 
 @pytest.mark.parametrize("n,d", [(5, 2), (5, 3)])
@@ -284,6 +371,89 @@ def test_oracles_agree_on_seeded_clutters():
         assert f_vector_direct(c) == ref_f_vector_direct(c), c
         full = clique_complex_faces(c, range(1, c.n + 1), max_n=c.n)
         assert full == ref_clique_complex_faces(c, range(1, c.n + 1), max_n=c.n), c
+
+
+def test_oracles_agree_on_seeded_6_3_and_7_3():
+    rng = random.Random(11)
+    for n in (6, 7):
+        for k in range(30):
+            if k % 2:
+                c = random_chordal_clutter(n, 3, steps=rng.randint(1, 2 * n), rng=rng)
+            else:
+                c = random_clutter(n, 3, rng.choice((0.3, 0.5, 0.7, 0.9)), rng)
+            assert hochster_betti(c) == ref_hochster_betti(c), c
+
+
+class CountCalls:
+    """Stand-in for a function that counts its calls."""
+
+    def __init__(self, fn):
+        self.fn = fn
+        self.calls = 0
+
+    def __call__(self, *args):
+        self.calls += 1
+        return self.fn(*args)
+
+
+def test_ranks_agree_on_every_induced_subcomplex(monkeypatch):
+    bareiss = CountCalls(homology.integer_matrix_rank)
+    monkeypatch.setattr(homology, "integer_matrix_rank", bareiss)
+    rng = random.Random(19)
+    subsets = 0
+    for k in range(12):
+        n, d = 6 + k % 3, 2 + k % 3
+        c = random_clutter(n, d, rng.choice((0.3, 0.5, 0.7)), rng)
+        full = clique_complex_faces(c, range(1, n + 1))
+        rows = homology._gf2_rows(full.by_size)
+        for size in range(n + 1):
+            for w in combinations(range(1, n + 1), size):
+                faces = clique_complex_faces(c, w)
+                expected = ref_reduced_homology_ranks(faces)
+                assert reduced_homology_ranks(faces) == expected, (c, w)
+                assert reduced_homology_ranks(faces, rows) == expected, (c, w)
+                subsets += 1
+    assert subsets == 4 * (64 + 128 + 256)
+    assert bareiss.calls > 0  # the sweep reaches the fallback too
+
+
+# The 6-vertex real projective plane: every pair of vertices is an edge,
+# and these 10 triangles hold no tetrahedron, so its clique complex as a
+# 3-uniform clutter is RP^2 itself.
+RP2 = make_clutter(6, 3, [(1, 2, 3), (1, 3, 4), (1, 4, 5), (1, 5, 6), (1, 2, 6),
+                          (2, 3, 5), (2, 4, 5), (2, 4, 6), (3, 4, 6), (3, 5, 6)])
+
+
+def test_projective_plane_takes_the_bareiss_fallback(monkeypatch):
+    faces = clique_complex_faces(RP2, range(1, 7))
+    rows = homology._gf2_rows(faces.by_size)
+    gf2 = homology._homology_ranks(
+        faces.by_size, lambda upper, _: homology._gf2_rank(map(rows.__getitem__, upper)))
+    assert gf2 == (0, 0, 1, 1)  # F_2 sees H~_1 and H~_2: two degrees
+    bareiss = CountCalls(homology.integer_matrix_rank)
+    monkeypatch.setattr(homology, "integer_matrix_rank", bareiss)
+    assert reduced_homology_ranks(faces) == (0, 0, 0, 0)  # Q sees no homology
+    assert ref_reduced_homology_ranks(faces) == (0, 0, 0, 0)
+    assert bareiss.calls > 0
+    calls = bareiss.calls
+    assert hochster_betti(RP2) == ref_hochster_betti(RP2)
+    assert bareiss.calls > calls
+
+
+def test_no_fallback_on_the_benchmark_verify_inputs(monkeypatch, tmp_path):
+    root = str(Path(__file__).resolve().parents[1])
+    sys.path.insert(0, root)
+    try:
+        from perfbench.workloads import build
+    finally:
+        sys.path.remove(root)
+    bareiss = CountCalls(homology.integer_matrix_rank)
+    monkeypatch.setattr(homology, "integer_matrix_rank", bareiss)
+    jobs = build("verify_invariants", 1, tmp_path).jobs
+    assert len(jobs) == 100
+    for job in jobs:
+        assert hochster_betti(make_clutter(job.n, job.d, job.circuits)).is_linear()
+    assert bareiss.calls == 0
 
 
 def outcome(fn, *args):
