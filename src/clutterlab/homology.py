@@ -29,19 +29,19 @@ Q.  A sweep that never falls back has also found the F_2 and Q tables
 equal, which checks at characteristic 2 that the resolution does not
 depend on the field.
 
-The clique complex on all n vertices is built once per call; the
-complex induced on a subset W is read off it by keeping the faces that
-lie inside W, so no subset regrows its own faces.  All subset
-enumeration is exponential in n; the caps in guards.py apply.
+The clique complex on all n vertices is built once per call, each
+level grown from the one below it.  The complex induced on a subset W
+is read off the one of W's parent in a depth-first walk over the
+subsets, so no subset regrows or re-scans the full complex.  All
+subset enumeration is exponential in n; the caps in guards.py apply.
 """
 
 from __future__ import annotations
 
-import itertools
 from collections.abc import Iterable
 from dataclasses import dataclass
 
-from .clutter import Clutter, Vertices, mask_of, verts_of
+from .clutter import Clutter, Vertices, verts_of
 from .guards import FACES_DEFAULT, HOCHSTER_DEFAULT, check_cap
 
 
@@ -72,8 +72,13 @@ def clique_complex_faces(clutter: Clutter, within: Iterable[int],
 
     A face is any subset of `within` all of whose d-subsets are
     circuits; subsets with fewer than d vertices qualify vacuously.
-    Faces are grown one vertex at a time, so only the new d-subsets are
-    re-tested at each level.
+    Faces are grown one vertex at a time: a face F of size k - 1 and a
+    vertex v give g = F + v, and g is a face when k < d, when k = d and
+    g is a circuit, or when k > d and g - u is a face of size k - 1 for
+    every u in F.  That last test is sound and complete: every d-subset
+    of g misses some vertex of g (d < k), so it lies in F or in some
+    g - u, and those are faces exactly when all their d-subsets are
+    circuits; conversely every subset of a face is a face.
 
     Each level comes out in lexicographic order without a sort.  By
     induction the level being grown is in lex order, and each face F
@@ -90,33 +95,23 @@ def clique_complex_faces(clutter: Clutter, within: Iterable[int],
     circuits = clutter.mask_set()
     d = clutter.d
     levels: list[tuple[int, ...]] = [(0,)]
-    current: list[int] = [0]
-    while current:
+    while levels[-1]:
+        below = levels[-1]
+        k = len(levels)  # the size of the sets grown from `below`
+        known = set(below) if k > d else circuits
         grown = []
-        for fmask in current:
+        for fmask in below:
             members = verts_of(fmask)
             start = fmask.bit_length()  # extend by vertices above the max
             for v in w:
                 if v <= start:
                     continue
-                vbit = 1 << (v - 1)
-                if len(members) + 1 < d:
-                    grown.append(fmask | vbit)
-                    continue
-                ok = True
-                for sub in itertools.combinations(members, d - 1):
-                    m = vbit
-                    for u in sub:
-                        m |= 1 << (u - 1)
-                    if m not in circuits:
-                        ok = False
-                        break
-                if ok:
-                    grown.append(fmask | vbit)
-        if grown:
-            levels.append(tuple(grown))
-        current = grown
-    return FaceList(w, tuple(levels))
+                g = fmask | 1 << (v - 1)
+                if k < d or (g in known if k == d else
+                             all(g ^ 1 << (u - 1) in known for u in members)):
+                    grown.append(g)
+        levels.append(tuple(grown))
+    return FaceList(w, tuple(levels[:-1]))
 
 
 # ----- exact rank ------------------------------------------------------------
@@ -274,37 +269,47 @@ class GradedBettiTable:
 def hochster_betti(clutter: Clutter, max_n: int | None = None) -> GradedBettiTable:
     """Graded Betti numbers of the circuit ideal by subset decomposition.
 
-    Builds the clique complex on all n vertices once.  For every vertex
-    subset W the induced subcomplex is the faces lying inside W, taken
-    level by level in the complex's lex order; since faces are closed
-    downward, the first level with no face inside W ends it.  Its
+    Builds the clique complex on all n vertices once, then walks the
+    vertex subsets depth-first from [n], removing vertices in
+    increasing order: W - v is visited from W only when v exceeds the
+    vertex removed last on the way to W.  So each subset is reached
+    exactly once, from the parent that adds back its largest missing
+    vertex.  The faces inside W - v are the faces of W that miss v,
+    taken level by level in the complex's lex order; since faces are
+    closed downward, the first level with none ends the complex.  Its
     reduced homology books rank H~_{|W|-i-2} into entry (i, |W|).  The
     complete clutter yields an empty table (zero ideal).
     """
     check_cap("hochster_betti", clutter.n, HOCHSTER_DEFAULT, max_n)
     n = clutter.n
     table: dict[tuple[int, int], int] = {}
-    vertices = range(1, n + 1)
-    complex_levels = clique_complex_faces(
-        clutter, vertices, max_n=max(n, FACES_DEFAULT)).by_size
-    rows = _gf2_rows(complex_levels)
-    for size in range(n + 1):
-        for w in itertools.combinations(vertices, size):
-            wmask = mask_of(w)
-            levels = []
-            for level in complex_levels:
+    full = clique_complex_faces(clutter, range(1, n + 1), max_n=n)
+    rows = _gf2_rows(full.by_size)
+    # Each entry is a subset's parent, the parent's levels and the vertex to
+    # remove (0 for [n] itself); a child is narrowed only once it is popped.
+    stack = [(full.universe, full.by_size, 0)]
+    while stack:
+        w, levels, v = stack.pop()
+        if v:
+            vbit = 1 << (v - 1)
+            w = tuple([u for u in w if u != v])
+            narrowed = []
+            for level in levels:
                 # Not tuple(generator): shrinking its 10-slot tuple shuffles
                 # tuple free lists and added 1 MB to 100 --verify jobs' peak.
-                inside = tuple([m for m in level if m & wmask == m])
+                inside = tuple([m for m in level if not m & vbit])
                 if not inside:
                     break
-                levels.append(inside)
-            ranks = reduced_homology_ranks(FaceList(w, tuple(levels)), rows)
-            # dim k = k_plus_1 - 1 books into i = size - k_plus_1 - 1 >= 0
-            for k_plus_1, rank in enumerate(ranks[:size]):
-                if rank:
-                    key = (size - k_plus_1 - 1, size)
-                    table[key] = table.get(key, 0) + rank
+                narrowed.append(inside)
+            levels = tuple(narrowed)
+        ranks = reduced_homology_ranks(FaceList(w, levels), rows)
+        size = len(w)
+        # dim k = k_plus_1 - 1 books into i = size - k_plus_1 - 1 >= 0
+        for k_plus_1, rank in enumerate(ranks[:size]):
+            if rank:
+                key = (size - k_plus_1 - 1, size)
+                table[key] = table.get(key, 0) + rank
+        stack.extend((w, levels, u) for u in w if u > v)
     entries = tuple(sorted(table.items()))
     return GradedBettiTable(n, clutter.d, entries)
 
