@@ -21,7 +21,8 @@ Requests whose answer is too big are refused with exit 64 before any
 work: `generate` above GENERATE_MAX_CIRCUITS d-subsets C(n, d), and
 `lambda` when the largest number it would print has more than
 LAMBDA_MAX_DIGITS digits, which stays below Python's 4300-digit limit
-on converting an int to text.  JSON reports carry a schema tag and
+on converting an int to text, or when its entries would print more
+than LAMBDA_MAX_OUTPUT digits in all.  JSON reports carry a schema tag and
 embed the parsed input, so piping a report's "input" object back into
 the tool reproduces the report.
 """
@@ -77,6 +78,7 @@ EXIT_INPUT = 64
 
 GENERATE_MAX_CIRCUITS = 10**6
 LAMBDA_MAX_DIGITS = 4000
+LAMBDA_MAX_OUTPUT = 10**6
 
 
 class UsageError(Exception):
@@ -248,8 +250,10 @@ def cmd_invariants(args) -> int:
     code = EXIT_OK
     if args.verify:
         try:
-            fv = f_vector_direct(clutter)
+            # Hochster first: its cap is the lower one, so a run above it
+            # enumerates nothing.
             table = hochster_betti(clutter)
+            fv = f_vector_direct(clutter)
         except OracleBoundError as exc:
             # The invariants above stand without the oracles; keep them.
             report["verify"] = {"skipped": str(exc)}
@@ -339,12 +343,22 @@ def _log10_binom(m: int, k: int) -> float:
 def cmd_lambda(args) -> int:
     n, d = args.n, args.d
     i = getattr(args, "index", 1)
+    seq = _parse_sequence(args.sequence) if args.mode == "validate" else ()
     # The largest number each mode prints is one of these binomials.
     biggest = {"max": [(n - i, d - 1)], "profile": [(n - i, d - 1), (n - 2, d - 2)],
                "complete": [(n - 2, d - 2)], "validate": [(n - 1, d - 1)]}[args.mode]
-    if max(_log10_binom(m, k) for m, k in biggest) >= LAMBDA_MAX_DIGITS:
+    digits = max(_log10_binom(m, k) for m, k in biggest)
+    if digits >= LAMBDA_MAX_DIGITS:
         raise UsageError(f"the answer would print a number over the lambda cap "
                          f"of {LAMBDA_MAX_DIGITS} digits")
+    # How many numbers it prints: a profile stops at index i <= n - d, and
+    # validate echoes SEQ beside an l-sequence of n - d + 1 entries.
+    entries = {"max": 1, "profile": min(i, n - d), "complete": n - d + 1,
+               "validate": len(seq) + n - d + 1}[args.mode]
+    if digits >= 0 and entries * (int(digits) + 1) > LAMBDA_MAX_OUTPUT:
+        raise UsageError(f"the answer would print {entries} numbers of up to "
+                         f"{int(digits) + 1} digits, over the lambda output cap "
+                         f"of {LAMBDA_MAX_OUTPUT} digits")
     out: dict = {"schema": SCHEMA, "n": n, "d": d, "mode": args.mode}
     try:
         if args.mode == "max":
@@ -361,9 +375,8 @@ def cmd_lambda(args) -> int:
             out["lambda"] = list(lam)
             human = f"lambda of the complete clutter: {list(lam)}"
         else:  # validate
-            lam = _parse_sequence(args.sequence)
-            diag = validate_lambda(n, d, lam)
-            out["lambda"] = list(lam)
+            diag = validate_lambda(n, d, seq)
+            out["lambda"] = list(seq)
             out["valid"] = diag.valid
             out["l_sequence"] = list(diag.l_sequence) if diag.l_sequence else None
             out["reason"] = diag.reason

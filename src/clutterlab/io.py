@@ -9,7 +9,8 @@ is "{" is parsed as the JSON form instead:
     {"n": 5, "d": 3, "circuits": [[1, 2, 3], [1, 4, 5]]}
 
 Parse failures raise ClutterParseError carrying the offending line
-number.
+number where there is one; so do a file that is not UTF-8 and JSON
+nested too deeply, or holding an integer too long, for Python to load.
 """
 
 from __future__ import annotations
@@ -67,6 +68,10 @@ def parse_clutter(text: str) -> Clutter:
             obj = json.loads(text)
         except json.JSONDecodeError as exc:
             raise ClutterParseError(f"invalid JSON: {exc.msg}", exc.lineno) from exc
+        except RecursionError as exc:
+            raise ClutterParseError("invalid JSON: nested too deeply") from exc
+        except ValueError as exc:  # an integer past Python's digit limit
+            raise ClutterParseError(f"invalid JSON: {exc}") from exc
         return clutter_from_json_dict(obj)
 
     header: tuple[int, int] | None = None
@@ -104,6 +109,9 @@ def parse_clutter_file(path: str) -> Clutter:
             text = fh.read()
     except OSError as exc:
         raise ClutterParseError(f"cannot read {path}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise ClutterParseError(
+            f"cannot read {path}: not UTF-8 text (byte {exc.start}: {exc.reason})") from exc
     try:
         return parse_clutter(text)
     except ClutterParseError as exc:

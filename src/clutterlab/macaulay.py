@@ -417,10 +417,13 @@ def ideal_with_m_vector(n: int, d: int, counts: Sequence[int]) -> SquarefreeIdea
 
     For each largest-vertex level d+i this takes the counts[i] first
     (d-1)-subsets of [d+i-1] in lexicographic order and appends the
-    level vertex.  The result is verified: if it fails the strong
-    stability or m-vector check (which happens exactly when counts is
-    not an M-sequence with second entry <= d), a ValueError is raised
-    rather than returning a wrong witness.
+    level vertex.  The generators are distinct (each level takes
+    distinct subsets, and levels differ in their largest vertex), so
+    the m-vector is counts by construction.  The result is verified
+    to be strongly stable: when it is not (exactly when counts is not
+    an M-sequence with second entry <= d), a ValueError is raised
+    rather than returning a wrong witness.  All-zero counts describe
+    no ideal and raise ValueError too.
     """
     counts = list(counts)
     if len(counts) != n - d + 1:
@@ -428,6 +431,8 @@ def ideal_with_m_vector(n: int, d: int, counts: Sequence[int]) -> SquarefreeIdea
             f"m-vector must have n - d + 1 = {n - d + 1} entries, got {len(counts)}")
     if any(not isinstance(c, int) or c < 0 for c in counts):
         raise ValueError("m-vector entries must be non-negative integers")
+    if not any(counts):
+        raise ValueError("an all-zero m-vector describes no ideal")
     masks = []
     for i, c in enumerate(counts):
         level = d + i
@@ -439,10 +444,6 @@ def ideal_with_m_vector(n: int, d: int, counts: Sequence[int]) -> SquarefreeIdea
         masks.extend(mask_of(base) | (1 << (level - 1))
                      for base in islice(combinations(range(1, level), d - 1), c))
     ideal = ideal_from_masks(n, masks)
-    if len(ideal.gen_masks) != sum(counts):
-        raise ValueError("greedy selection collapsed generators; no witness built")
-    if m_vector(ideal) != tuple(counts):
-        raise ValueError("greedy selection missed the requested m-vector")
     if not is_squarefree_strongly_stable(ideal):
         raise ValueError(
             "greedy witness is not strongly stable; the requested m-vector "

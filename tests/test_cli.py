@@ -29,6 +29,18 @@ def cycle_file(tmp_path):
     return str(p)
 
 
+class CountCalls:
+    """Stand-in for a function that counts its calls."""
+
+    def __init__(self, fn):
+        self.fn = fn
+        self.calls = 0
+
+    def __call__(self, *args):
+        self.calls += 1
+        return self.fn(*args)
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -100,6 +112,21 @@ def test_check_parse_error_line_number(tmp_path, capsys):
     assert "line 2" in err
 
 
+@pytest.mark.parametrize("name, data, message", [
+    ("utf16.txt", b"\xff\xfe5\x003\x00\n\x00", "not UTF-8 text (byte 0: invalid start byte)"),
+    ("deep.json", b'{"n": ' + b"[" * 100000 + b"]" * 100000 + b"}", "nested too deeply"),
+])
+def test_malformed_files_are_bad_input(tmp_path, capsys, name, data, message):
+    bad = tmp_path / name
+    bad.write_bytes(data)
+    for command in ("check", "invariants"):
+        start = time.perf_counter()
+        code, out, err = run(capsys, command, str(bad))
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (64, "")
+        assert err.startswith("error: ") and message in err
+
+
 def test_check_rejects_json_booleans(tmp_path, capsys):
     bad = tmp_path / "bool.json"
     bad.write_text('{"n": true, "d": true, "circuits": [[true]]}')
@@ -165,6 +192,32 @@ def test_invariants_verify_skipped_above_oracle_cap(tmp_path, capsys, monkeypatc
     code, out, _ = run(capsys, "invariants", str(p), "--verify")
     assert code == 0
     assert "verify: skipped (hochster_betti oracle capped at 12" in out
+
+
+def test_invariants_verify_checks_the_hochster_cap_first(tmp_path, capsys, monkeypatch):
+    # 13 vertices is past the Hochster cap but within the f oracle's cap
+    # of 20: the skipped run must not enumerate the clique complex
+    monkeypatch.delenv("CLUTTERLAB_MAX_N", raising=False)
+    f_direct = CountCalls(cli.f_vector_direct)
+    monkeypatch.setattr(cli, "f_vector_direct", f_direct)
+    p = tmp_path / "k13.txt"
+    assert main(["generate", "complete", "13", "3", "-o", str(p)]) == 0
+    code, out, _ = run(capsys, "invariants", str(p), "--verify", "--json")
+    assert code == 0
+    assert json.loads(out)["verify"] == {
+        "skipped": "hochster_betti oracle capped at 12 vertices, got 13; "
+                   "set CLUTTERLAB_MAX_N or pass max_n to raise the cap"}
+    assert f_direct.calls == 0
+
+
+def test_invariants_verify_above_both_caps_is_quick(tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv("CLUTTERLAB_MAX_N", raising=False)
+    p = tmp_path / "k18.txt"
+    assert main(["generate", "complete", "18", "3", "-o", str(p)]) == 0
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "invariants", str(p), "--verify", "--json")
+    assert time.perf_counter() - start < 1.0
+    assert code == 0 and "hochster_betti oracle capped" in json.loads(out)["verify"]["skipped"]
 
 
 @pytest.mark.parametrize("name, wrong", [
@@ -310,13 +363,16 @@ def test_generate_json_form(capsys, tmp_path):
     ("lambda", "profile", "200000", "100000", "50"),
     ("lambda", "complete", "100000", "50000"),
     ("lambda", "validate", "100000", "50000", "1"),
+    ("lambda", "complete", "3000000", "3"),
+    ("lambda", "validate", "3000000", "3", "1"),
 ])
 def test_oversized_requests_are_refused_up_front(capsys, argv):
     start = time.perf_counter()
     code, out, err = run(capsys, *argv)
     assert time.perf_counter() - start < 1.0
     assert code == 64 and out == ""
-    cap = cli.GENERATE_MAX_CIRCUITS if argv[0] == "generate" else cli.LAMBDA_MAX_DIGITS
+    cap = (cli.GENERATE_MAX_CIRCUITS if argv[0] == "generate" else
+           cli.LAMBDA_MAX_OUTPUT if argv[2] == "3000000" else cli.LAMBDA_MAX_DIGITS)
     assert err.startswith("error: ") and f"cap of {cap} " in err
 
 
@@ -344,6 +400,24 @@ def test_lambda_cap_boundary(capsys, monkeypatch):
                  ("validate", "47", "3", "1")):
         code, out, err = run(capsys, "lambda", *argv)
         assert code == 64 and out == "" and "cap of 3 digits" in err, argv
+
+
+def test_lambda_output_cap_boundary(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "LAMBDA_MAX_OUTPUT", 12)
+    # 6 entries of at most 2 digits, C(7, 2) = 21 the largest: 12 digits
+    code, out, _ = run(capsys, "lambda", "complete", "9", "4")
+    assert code == 0 and out == "lambda of the complete clutter: [21, 15, 10, 6, 3, 1]\n"
+    # SEQ's 1 entry beside an l-sequence of 5, C(7, 3) = 35 the largest: 12 digits
+    code, out, _ = run(capsys, "lambda", "validate", "8", "4", "3")
+    assert code == 0 and out.startswith("valid: ")
+    for argv, entries in ((("complete", "10", "4"), 7), (("validate", "8", "4", "3,1"), 7),
+                          (("profile", "20", "3", "7"), 7)):
+        code, out, err = run(capsys, "lambda", *argv)
+        assert (code, out) == (64, ""), argv
+        assert err == (f"error: the answer would print {entries} numbers of up to 2 "
+                       "digits, over the lambda output cap of 12 digits\n"), argv
+    code, out, _ = run(capsys, "lambda", "profile", "20", "3", "6")  # 6 of 2 digits
+    assert code == 0
 
 
 def test_binomial_digit_estimate():

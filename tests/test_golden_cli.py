@@ -78,7 +78,9 @@ def invocations() -> list[tuple[str | None, list[str]]]:
     runs += [["lambda", "max", "1000000", "500000", "3"],
              ["lambda", "profile", "200000", "100000", "50"],
              ["lambda", "complete", "100000", "50000"],
-             ["lambda", "validate", "100000", "50000", "1"]]
+             ["lambda", "validate", "100000", "50000", "1"],
+             ["lambda", "complete", "3000000", "3"],
+             ["lambda", "validate", "3000000", "3", "1"]]
     for args in (["complete", "5", "3"], ["complete", "6", "2"], ["complete", "4", "6"],
                  ["extremal", "6", "3", "2"], ["extremal", "7", "3", "1"],
                  ["extremal", "6", "3", "0"], ["extremal", "6", "3", "99"],

@@ -4,11 +4,13 @@ from __future__ import annotations
 
 import json
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, strategies as st
 
 from clutterlab import (
+    Clutter,
     ClutterParseError,
     clutter_from_json_dict,
     clutter_to_json,
@@ -127,3 +129,52 @@ def test_parse_file_errors_name_the_file(tmp_path):
     assert exc.value.line == 2
     with pytest.raises(ClutterParseError):
         parse_clutter_file(tmp_path / "missing.txt")
+
+
+# A file that starts with a UTF-16 byte order mark is not UTF-8, and JSON
+# nested this deep exhausts the parser's recursion; both must be refused.
+UTF16_FILE = b"\xff\xfe5\x003\x00\n\x00"
+DEEP_JSON = b'{"n": ' + b"[" * 100000 + b"]" * 100000 + b"}"
+VALID_FILES = [TEXT.encode(), clutter_to_json(EX).encode()]
+
+
+def parses_or_refuses(parse, arg):
+    """parse(arg) returns a Clutter or raises ClutterParseError, nothing else."""
+    try:
+        result = parse(arg)
+    except ClutterParseError:
+        return
+    assert isinstance(result, Clutter)
+
+
+@st.composite
+def mutated_files(draw):
+    """A valid text or JSON file with a few bytes inserted, deleted or replaced."""
+    data = bytearray(draw(st.sampled_from(VALID_FILES)))
+    for _ in range(draw(st.integers(1, 6))):
+        pos = draw(st.integers(0, len(data)))
+        byte = draw(st.integers(0, 255))
+        op = draw(st.sampled_from(("insert", "delete", "replace")))
+        if op == "insert" or pos == len(data):
+            data.insert(pos, byte)
+        elif op == "delete":
+            del data[pos]
+        else:
+            data[pos] = byte
+    return bytes(data)
+
+
+@given(st.text() | st.text().map("{".__add__))
+@example(DEEP_JSON.decode())
+@example('{"n": 1%s, "d": 1, "circuits": []}' % ("0" * 5000))
+def test_parse_clutter_on_arbitrary_text(text):
+    parses_or_refuses(parse_clutter, text)
+
+
+@given(st.binary() | mutated_files())
+@example(UTF16_FILE)
+@example(DEEP_JSON)
+def test_parse_clutter_file_on_arbitrary_bytes(tmp_path_factory, data):
+    path = Path(tmp_path_factory.getbasetemp()) / "fuzz.bin"
+    path.write_bytes(data)
+    parses_or_refuses(parse_clutter_file, path)

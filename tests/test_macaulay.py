@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from itertools import product
 from math import comb
 
 import pytest
@@ -380,6 +381,29 @@ def test_witness_construction():
     W2 = ideal_with_m_vector(6, 3, (1, 3, 4, 2))
     assert m_vector(W2) == (1, 3, 4, 2)
     assert is_squarefree_strongly_stable(W2)
+
+
+def test_witness_has_the_requested_m_vector():
+    # every count vector within the level capacities C(d+i-1, d-1)
+    built = 0
+    for n, d in ((4, 2), (5, 2), (5, 3), (6, 3), (6, 4)):
+        ranges = [range(comb(d + i - 1, d - 1) + 1) for i in range(n - d + 1)]
+        for counts in product(*ranges):
+            if not any(counts):
+                with pytest.raises(ValueError, match="all-zero"):
+                    ideal_with_m_vector(n, d, counts)
+                continue
+            feasible = is_M_sequence(counts) and counts[1] <= d
+            try:
+                W = ideal_with_m_vector(n, d, counts)
+            except ValueError:
+                assert not feasible, (n, d, counts)
+                continue
+            assert feasible, (n, d, counts)
+            assert len(W.gen_masks) == sum(counts), (n, d, counts)
+            assert m_vector(W) == counts, (n, d, counts)
+            built += 1
+    assert built > 100
 
 
 def test_witness_construction_rejects_infeasible():
