@@ -356,9 +356,8 @@ def cmd_lambda(args) -> int:
     entries = {"max": 1, "profile": min(i, n - d), "complete": n - d + 1,
                "validate": len(seq) + n - d + 1}[args.mode]
     if digits >= 0 and entries * (int(digits) + 1) > LAMBDA_MAX_OUTPUT:
-        raise UsageError(f"the answer would print {entries} numbers of up to "
-                         f"{int(digits) + 1} digits, over the lambda output cap "
-                         f"of {LAMBDA_MAX_OUTPUT} digits")
+        raise UsageError(f"the answer would print {entries} numbers, over the "
+                         f"lambda output cap of {LAMBDA_MAX_OUTPUT} digits")
     out: dict = {"schema": SCHEMA, "n": n, "d": d, "mode": args.mode}
     try:
         if args.mode == "max":

@@ -72,13 +72,14 @@ def clique_complex_faces(clutter: Clutter, within: Iterable[int],
 
     A face is any subset of `within` all of whose d-subsets are
     circuits; subsets with fewer than d vertices qualify vacuously.
-    Faces are grown one vertex at a time: a face F of size k - 1 and a
-    vertex v give g = F + v, and g is a face when k < d, when k = d and
-    g is a circuit, or when k > d and g - u is a face of size k - 1 for
-    every u in F.  That last test is sound and complete: every d-subset
-    of g misses some vertex of g (d < k), so it lies in F or in some
-    g - u, and those are faces exactly when all their d-subsets are
-    circuits; conversely every subset of a face is a face.
+    Faces are grown one vertex at a time, each level from the one
+    below: a face F of size k - 1 and a vertex v give g = F + v, and g
+    is a face exactly when g - u is in the level below for every u in
+    F, and g is a circuit if k = d.  Below size d every set is a face,
+    so the level test passes and the circuit test decides at k = d.
+    Above it the level test is sound: every d-subset of g misses some
+    vertex of g, so it lies in F or in some g - u, all faces, and is a
+    circuit.  It is complete because every subset of a face is a face.
 
     Each level comes out in lexicographic order without a sort.  By
     induction the level being grown is in lex order, and each face F
@@ -96,19 +97,16 @@ def clique_complex_faces(clutter: Clutter, within: Iterable[int],
     d = clutter.d
     levels: list[tuple[int, ...]] = [(0,)]
     while levels[-1]:
-        below = levels[-1]
-        k = len(levels)  # the size of the sets grown from `below`
-        known = set(below) if k > d else circuits
+        k = len(levels)  # the size of the sets grown from the last level
+        below = set(levels[-1])
         grown = []
-        for fmask in below:
+        for fmask in levels[-1]:
             members = verts_of(fmask)
             start = fmask.bit_length()  # extend by vertices above the max
             for v in w:
-                if v <= start:
-                    continue
                 g = fmask | 1 << (v - 1)
-                if k < d or (g in known if k == d else
-                             all(g ^ 1 << (u - 1) in known for u in members)):
+                if (v > start and (k != d or g in circuits)
+                        and all(g ^ 1 << (u - 1) in below for u in members)):
                     grown.append(g)
         levels.append(tuple(grown))
     return FaceList(w, tuple(levels[:-1]))

@@ -68,9 +68,7 @@ def parse_clutter(text: str) -> Clutter:
             obj = json.loads(text)
         except json.JSONDecodeError as exc:
             raise ClutterParseError(f"invalid JSON: {exc.msg}", exc.lineno) from exc
-        except RecursionError as exc:
-            raise ClutterParseError("invalid JSON: nested too deeply") from exc
-        except ValueError as exc:  # an integer past Python's digit limit
+        except (RecursionError, ValueError) as exc:  # too deep, or an int too long
             raise ClutterParseError(f"invalid JSON: {exc}") from exc
         return clutter_from_json_dict(obj)
 
@@ -110,8 +108,7 @@ def parse_clutter_file(path: str) -> Clutter:
     except OSError as exc:
         raise ClutterParseError(f"cannot read {path}: {exc.strerror}") from exc
     except UnicodeDecodeError as exc:
-        raise ClutterParseError(
-            f"cannot read {path}: not UTF-8 text (byte {exc.start}: {exc.reason})") from exc
+        raise ClutterParseError(f"cannot read {path}: {exc}") from exc
     try:
         return parse_clutter(text)
     except ClutterParseError as exc:
