@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import json
 from itertools import combinations
-from pathlib import Path
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -131,8 +130,9 @@ def test_parse_file_errors_name_the_file(tmp_path):
         parse_clutter_file(tmp_path / "missing.txt")
 
 
-# A file that starts with a UTF-16 byte order mark is not UTF-8, and JSON
-# nested this deep exhausts the parser's recursion; both must be refused.
+# A file that starts with a UTF-16 byte order mark is not UTF-8, JSON nested
+# this deep exhausts the parser's recursion, and a JSON integer past Python's
+# 4300-digit limit does not load; all must be refused, not raised past.
 UTF16_FILE = b"\xff\xfe5\x003\x00\n\x00"
 DEEP_JSON = b'{"n": ' + b"[" * 100000 + b"]" * 100000 + b"}"
 VALID_FILES = [TEXT.encode(), clutter_to_json(EX).encode()]
@@ -175,6 +175,6 @@ def test_parse_clutter_on_arbitrary_text(text):
 @example(UTF16_FILE)
 @example(DEEP_JSON)
 def test_parse_clutter_file_on_arbitrary_bytes(tmp_path_factory, data):
-    path = Path(tmp_path_factory.getbasetemp()) / "fuzz.bin"
+    path = tmp_path_factory.getbasetemp() / "fuzz.bin"
     path.write_bytes(data)
     parses_or_refuses(parse_clutter_file, path)
