@@ -33,6 +33,7 @@ import argparse
 import json
 import sys
 from collections import Counter
+from functools import cache
 from math import comb, lgamma, log, log10
 
 from . import __version__
@@ -103,7 +104,18 @@ def _state_budget(text: str) -> int:
     return value
 
 
+@cache
 def _build_parser() -> Parser:
+    """The argument tree, built on the first call and reused after it.
+
+    Reuse is safe because a parse keeps no state in the tree:
+    parse_args holds all per-call state in the Namespace it returns and
+    in local variables, and copies defaults into that namespace without
+    writing them back to the actions; Parser.error raises UsageError and
+    leaves nothing behind; the help and usage formatters are made per
+    message and read the terminal width and sys.stdout/sys.stderr at
+    that moment; and nothing mutates the tree once it is built.
+    """
     parser = Parser(prog="clutterlab",
                     description="chordality and resolution invariants "
                                 "of uniform clutters")
@@ -408,8 +420,11 @@ def cmd_generate(args) -> int:
         raise UsageError(str(exc)) from exc
     payload = clutter_to_json(clutter) if args.as_json else clutter_to_text(clutter)
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(payload)
+        try:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(payload)
+        except OSError as exc:
+            raise UsageError(f"cannot write {args.output}: {exc.strerror}") from exc
         print(f"wrote {args.output}", file=sys.stderr)
     else:
         sys.stdout.write(payload)

@@ -344,6 +344,17 @@ def test_generate_json_form(capsys, tmp_path):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("target", ["missing/x.txt", "."])
+def test_generate_to_unwritable_path_is_bad_input(tmp_path, capsys, monkeypatch, target):
+    monkeypatch.chdir(tmp_path)
+    start = time.perf_counter()
+    code, out, err = run(capsys, "generate", "complete", "5", "3", "-o", target)
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (64, "")
+    assert err.startswith(f"error: cannot write {target}: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 @pytest.mark.parametrize("argv", [
     ("generate", "complete", "60", "6"),
     ("generate", "extremal", "60", "6", "1"),
@@ -435,3 +446,62 @@ def test_unknown_arguments(capsys):
     assert "error" in err
     code, _, err = run(capsys, "frobnicate")
     assert code == 64
+
+
+def _mixed_calls(ex_file, cycle_file, out_file) -> list[list[str]]:
+    """About 50 argv lists over every subcommand, usage errors and --version."""
+    calls = [["check", ex_file], ["check", cycle_file, "--json"],
+             ["check", ex_file, "--max-states", "0"],
+             ["invariants", ex_file, "--json"], ["invariants", ex_file, "--verify"],
+             ["invariants", cycle_file],
+             ["lambda", "max", "6", "3", "1"], ["lambda", "profile", "8", "3", "4"],
+             ["lambda", "complete", "6", "3", "--json"],
+             ["lambda", "validate", "5", "3", "4,2"], ["lambda", "validate", "5", "3", "9"],
+             ["generate", "complete", "5", "3"],
+             ["generate", "extremal", "6", "3", "2", "--json", "-o", out_file],
+             ["--version"], [], ["check"], ["frobnicate"], ["lambda", "max", "6", "3"],
+             ["check", ex_file, "--bogus"], ["invariants", ex_file, "--max-states", "x"],
+             ["generate", "complete", "5", "-1"], ["lambda", "max", "x", "3", "1"]]
+    return (calls * 3)[:50]
+
+
+def _call(argv) -> int:
+    try:
+        return main(argv)
+    except SystemExit as exc:  # --version exits through argparse
+        return exc.code
+
+
+def test_parser_is_built_once_per_process(ex_file, cycle_file, tmp_path, capsys,
+                                          monkeypatch):
+    built = []
+    original = cli.Parser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli.Parser, "__init__", counting_init)
+    cli._build_parser.__wrapped__()
+    one_tree = len(built)  # the top-level parser and its subparsers
+    built.clear()
+    cli._build_parser.cache_clear()
+    codes = [_call(argv) for argv in
+             _mixed_calls(ex_file, cycle_file, str(tmp_path / "ext.json"))]
+    capsys.readouterr()
+    assert set(codes) == {0, 1, 2, 64}
+    assert built.count("clutterlab") == 1
+    assert len(built) == one_tree
+
+
+def test_help_follows_the_width_of_each_call(capsys, monkeypatch):
+    assert _call(["--version"]) == 0  # the cached tree exists before any width is set
+    capsys.readouterr()
+    seen = []
+    for columns in ("40", "120"):
+        monkeypatch.setenv("COLUMNS", columns)
+        assert _call(["--help"]) == 0
+        out = capsys.readouterr().out
+        assert out == cli._build_parser.__wrapped__().format_help()
+        seen.append(out)
+    assert seen[0] != seen[1]

@@ -88,7 +88,9 @@ def invocations() -> list[tuple[str | None, list[str]]]:
                  ["extremal", "60", "6", "1"]):
         runs += [["generate", *args], ["generate", *args, "--json"]]
     runs += [["generate", "extremal", "6", "3", "2", "-o", "ext.txt"],
-             ["generate", "complete", "5", "3", "--json", "--output", "k53.json"]]
+             ["generate", "complete", "5", "3", "--json", "--output", "k53.json"],
+             ["generate", "complete", "5", "3", "-o", "missing/x.txt"],
+             ["generate", "complete", "5", "3", "-o", "inputs"]]
     runs += [[], ["--version"], ["check"], ["lambda"], ["generate", "complete", "5"],
              ["lambda", "max", "6", "3"], ["lambda", "max", "x", "3", "1"],
              ["check", "inputs/c_example.txt", "--bogus"],
@@ -128,13 +130,14 @@ def run(cap: str | None, argv: list[str]) -> list:
     return [code, digest(out.getvalue()), digest(err.getvalue())]
 
 
-def replay(workdir: Path) -> dict[str, list]:
-    """Every invocation's outcome, run from a copy of the inputs in workdir."""
+def replay(workdir: Path, order=list) -> dict[str, list]:
+    """Every invocation's outcome, run in the given order from a copy of
+    the inputs in workdir."""
     shutil.copytree(GOLDEN / "inputs", workdir / "inputs")
     home = os.getcwd()
     os.chdir(workdir)
     try:
-        return {key(cap, argv): run(cap, argv) for cap, argv in invocations()}
+        return {key(cap, argv): run(cap, argv) for cap, argv in order(invocations())}
     finally:
         os.chdir(home)
 
@@ -143,6 +146,14 @@ def test_corpus_replays(tmp_path):
     expected = json.loads(CORPUS.read_text(encoding="utf-8"))
     got = replay(tmp_path)
     assert list(got) == list(expected)
+    assert [k for k in got if got[k] != expected[k]] == []
+
+
+def test_corpus_replays_in_reverse(tmp_path):
+    """One process, one parser, the opposite call order: same outcomes."""
+    expected = json.loads(CORPUS.read_text(encoding="utf-8"))
+    got = replay(tmp_path, order=reversed)
+    assert sorted(got) == sorted(expected)
     assert [k for k in got if got[k] != expected[k]] == []
 
 
