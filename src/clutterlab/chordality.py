@@ -39,11 +39,67 @@ on the path that reached it.  A state is memoized only after every one
 of its candidates was tried and none completed, so it has no completion
 on any path, and skipping it later loses no sequence.  States that did
 complete are never memoized, so every completion is still enumerated.
-find_simplicial_order, enumerate_simplicial_orders and
-co_chordal_sequence are thin callers of the driver.  Greedy deletion
-(always take the first simplicial element, never back up) reads its
-candidates off the same state.  A stuck greedy run proves nothing: no
-result of this module treats "greedy failed" as "not chordal".
+enumerate_simplicial_orders and co_chordal_sequence are thin callers
+of the driver.  Greedy deletion (always take the lex-first simplicial
+element, never back up) reads its candidates off the same state.  For
+d >= 3 a stuck greedy run proves nothing; for d = 2 it proves "not
+chordal", as follows.
+
+The decision search.  find_simplicial_order does not run the driver on
+the whole input.  It decides the same question, with the same witness,
+on less: greedy for d = 2, and one driver run per (d-1)-component for
+other d.  Its state budget counts the states this reduced search
+expands: one per greedy step, or the driver's states summed over the
+components.
+
+* d = 2: greedy decides (Dirac 1961; Fulkerson-Gross 1965).  Deleting a
+  vertex v of a graph G removes the edges at v.  Lemma: if G has a
+  simplicial order w_1, ..., w_m, then so has G - v, for any vertex v:
+  drop v from the sequence, and every w_i that has no edge left when
+  its turn comes.  Write G_i for G after deleting w_1, ..., w_(i-1).
+  Deleting vertices commutes, so the state of the new sequence at w_i's
+  turn is G_i - v.  There the closed neighborhood of w_i is N[w_i] in
+  G_i minus v.  It lies inside a clique of G_i, and none of its edges
+  meets v, so it is a clique of G_i - v, and w_i is simplicial there.
+  The sequence ends at the empty graph, because G_(m+1) is empty.  So a
+  simplicial deletion never takes a chordal graph to a non-chordal one.
+  Greedy starting from a chordal graph therefore only ever meets chordal
+  states.  A chordal state with an edge has a simplicial element by
+  definition, so greedy cannot get stuck on a chordal graph, and a stuck
+  run proves "not chordal".  The driver's first descent takes the same
+  lex-first candidate at every state.  From a chordal graph it never
+  backs up, so its witness is greedy's order.
+* Any d: (d-1)-components decide independently.  Join two circuits when
+  they share d-1 vertices; a (d-1)-set lies in one component, the one of
+  the circuits through it.  If N[f] is a clique, all its d-subsets are
+  circuits.  Any two d-subsets of one set are linked by a chain of
+  d-subsets of it, each sharing d-1 vertices with the next, and f + c is
+  one of them.  So they all lie in f's component.  Hence whether f is
+  simplicial, and which circuits its deletion removes, depend only on
+  the live circuits of f's component.  The same holds in every later
+  state, whose components only refine the starting ones.  A deletion in
+  one component therefore never changes a candidate of another, so the
+  clutter is chordal exactly when each component is.  The lex-first
+  global witness takes, at each step, the lex-first candidate whose
+  deletion leaves a chordal state.  Within its component that is the
+  next step of the component's own lex-first witness, and the other
+  components are unchanged.  So the global witness is the step-wise
+  merge of the per-component witnesses by lex rank, which heapq.merge
+  computes from the heads of its inputs.  The components are decided in
+  the order of their lex-first circuits, and the first that fails
+  answers None.  One component is the whole input, so the driver then
+  runs on it as before.  For d = 2 the components are the connected
+  components, but greedy needs no split.
+* What is left exponential.  The memo still visits every reachable
+  state of one component.  A non-chordal core with simplicial ears that
+  share a (d-1)-set with it forms one component, so for d >= 3 such an
+  input costs as much as before.
+
+Evidence, not proof, on greedy for d = 3:
+tests/greedy_census_6_3.py runs greedy and find_simplicial_order on all
+2^20 3-uniform clutters on 6 vertices.  739592 of them are chordal, and
+greedy completed on every one of those, with find's witness (run once,
+in 341 s).  A 3-uniform dead-end therefore needs at least 7 vertices.
 
 Why the incremental update is exact.  Write C for the circuits before
 deleting e and C' for those after, N(f) and N'(f) for the open
@@ -77,6 +133,7 @@ old neighborhoods and the simplicial flags the deletion flipped.
 
 from __future__ import annotations
 
+import heapq
 from collections import Counter
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
@@ -103,6 +160,28 @@ class SearchLimitReached(RuntimeError):
     Catching this means the chordality question is still open for the
     input; it must not be reported as "not chordal".
     """
+
+
+class _StateBudget:
+    """The states expanded so far, against an optional limit.
+
+    One budget is shared by every search that serves one decision, so the
+    limit bounds their sum.  A negative limit raises ValueError.
+    """
+
+    __slots__ = ("limit", "spent")
+
+    def __init__(self, limit: int | None):
+        if limit is not None and limit < 0:
+            raise ValueError(f"max_states must be non-negative, got {limit}")
+        self.limit = limit
+        self.spent = 0
+
+    def expand(self) -> None:
+        """Count one more state, or raise SearchLimitReached at the limit."""
+        if self.spent == self.limit:
+            raise SearchLimitReached(f"no answer after expanding {self.spent} states")
+        self.spent += 1
 
 
 @dataclass(frozen=True, slots=True)
@@ -202,23 +281,25 @@ def simplicial_elements(clutter: Clutter) -> frozenset[Vertices]:
 
 
 def _deletion_sequences(start: frozenset[int], target: frozenset[int], d: int,
-                        max_states: int | None) -> Iterator[tuple[tuple[int, int], ...]]:
+                        budget: _StateBudget | int | None
+                        ) -> Iterator[tuple[tuple[int, int], ...]]:
     """Yield every simplicial deletion sequence turning start into target.
 
     Each sequence is a tuple of (element mask, open-neighborhood mask)
     steps, and sequences come in lexicographic depth-first order.  A
     deletion that would remove a circuit of target is never tried.
-    States with no completion go into the failed-state memo; with
-    max_states set, SearchLimitReached is raised once that many states
-    have been expanded, and a negative max_states raises ValueError.
-    The path lives on an explicit stack, so long orders do not touch
-    Python's recursion limit.
+    States with no completion go into the failed-state memo.  Every
+    expanded state is counted against budget, a _StateBudget shared with
+    other searches or a max_states limit (None for none) for this search
+    alone: SearchLimitReached is raised once the limit is spent, and a
+    negative max_states raises ValueError.  The path lives on an explicit
+    stack, so long orders do not touch Python's recursion limit.
     """
-    if max_states is not None and max_states < 0:
-        raise ValueError(f"max_states must be non-negative, got {max_states}")
+    if not isinstance(budget, _StateBudget):
+        budget = _StateBudget(budget)
     protected = submaximal_circuit_masks(target)
     failed: set[frozenset[int]] = set()
-    expanded = yielded = 0
+    yielded = 0
     live = _DeletionState(start, d)
     nbrs = live.nbrs
     # The current path: (state, its untried candidates, sequences yielded
@@ -235,11 +316,7 @@ def _deletion_sequences(start: frozenset[int], target: frozenset[int], d: int,
                 steps.pop()
                 live.undo()
         else:
-            if max_states is not None:
-                if expanded >= max_states:
-                    raise SearchLimitReached(
-                        f"no answer after expanding {expanded} states")
-                expanded += 1
+            budget.expand()
             path.append((state, iter(live.candidates()), yielded))
         # Back up to the deepest state with an untried candidate whose
         # deletion leaves a state not known to fail; take it.
@@ -266,9 +343,57 @@ def _deletion_sequences(start: frozenset[int], target: frozenset[int], d: int,
             return
 
 
-def _order(steps: tuple[tuple[int, int], ...]) -> SimplicialOrder:
+def _order(steps: Iterable[tuple[int, int]]) -> SimplicialOrder:
     return SimplicialOrder(
         tuple((verts_of(e), nbr.bit_count()) for e, nbr in steps))
+
+
+def _greedy(live: _DeletionState,
+            budget: _StateBudget) -> list[tuple[int, int]] | None:
+    """Delete the lex-first simplicial element until no circuit is left.
+
+    Returns the (element mask, open-neighborhood mask) steps, or None
+    when a state with circuits has no simplicial element.  Each state
+    with circuits counts as one expanded state against budget.
+    """
+    rank = live.rank.__getitem__
+    steps = []
+    while live.circuits:
+        budget.expand()
+        if not live.simplicial:
+            return None
+        e = min(live.simplicial, key=rank)
+        steps.append((e, live.nbrs[e]))
+        live.delete(e)
+    return steps
+
+
+def _components(circuit_masks: tuple[int, ...]) -> list[frozenset[int]]:
+    """The (d-1)-components of lex-sorted circuits, by their first circuit.
+
+    Two circuits are joined when they share d-1 vertices, that is, when
+    both contain the same (d-1)-set.
+    """
+    nbrs = neighborhood_map(circuit_masks)
+    parts = []
+    for first in circuit_masks:
+        # A circuit was reached exactly when its (d-1)-sets were taken.
+        if first ^ (first & -first) not in nbrs:
+            continue
+        part, todo = {first}, [first]
+        while todo:
+            m = todo.pop()
+            rest = m
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                f = m ^ low
+                for c in _circuits_through(f, nbrs.pop(f, 0)):
+                    if c not in part:
+                        part.add(c)
+                        todo.append(c)
+        parts.append(frozenset(part))
+    return parts
 
 
 # ----- full decision procedure ---------------------------------------------
@@ -276,17 +401,31 @@ def _order(steps: tuple[tuple[int, int], ...]) -> SimplicialOrder:
 
 def find_simplicial_order(clutter: Clutter,
                           max_states: int | None = None) -> SimplicialOrder | None:
-    """Decide chordality, returning a witness order or None.
+    """Decide chordality, returning the lex-first witness order or None.
 
-    None is a definitive negative: the backtracking search exhausted
-    every deletion sequence.  With max_states set, the search raises
-    SearchLimitReached once that many distinct states have been
-    expanded, leaving the question open; a negative max_states raises
-    ValueError.
+    None is a definitive negative.  For d = 2 greedy deletion decides;
+    otherwise the backtracking driver decides each (d-1)-component and
+    the witnesses are merged (the soundness arguments are in the module
+    docstring).  With max_states set, SearchLimitReached is raised once
+    that many states have been expanded, leaving the question open:
+    one state per greedy step for d = 2 (the state it gets stuck in
+    included), and for other d the driver's distinct states summed over
+    the components, taken in the order of their lex-first circuits.  A
+    negative max_states raises ValueError.
     """
-    steps = next(_deletion_sequences(clutter.mask_set(), frozenset(),
-                                     clutter.d, max_states), None)
-    return None if steps is None else _order(steps)
+    budget = _StateBudget(max_states)
+    d = clutter.d
+    if d == 2:
+        steps = _greedy(_DeletionState(clutter.mask_set(), d), budget)
+        return None if steps is None else _order(steps)
+    witnesses = []
+    for part in _components(clutter.circuit_masks):
+        steps = next(_deletion_sequences(part, frozenset(), d, budget), None)
+        if steps is None:
+            return None
+        witnesses.append(_order(steps).steps)
+    # Elements of different components differ, so steps never tie.
+    return SimplicialOrder(tuple(heapq.merge(*witnesses, key=lambda step: step[0])))
 
 
 def is_chordal(clutter: Clutter, max_states: int | None = None) -> bool:
@@ -296,19 +435,13 @@ def is_chordal(clutter: Clutter, max_states: int | None = None) -> bool:
 def greedy_simplicial_order(clutter: Clutter) -> SimplicialOrder | None:
     """Repeatedly delete the lex-first simplicial element.
 
-    Returns None when stuck.  A stuck run is not evidence against
-    chordality; use find_simplicial_order for an actual decision.
+    Returns None when stuck.  For d = 2 a stuck run proves the graph is
+    not chordal; for other d it is not evidence against chordality, and
+    find_simplicial_order makes the actual decision.
     """
-    live = _DeletionState(clutter.mask_set(), clutter.d)
-    steps = []
-    while live.circuits:
-        cands = live.candidates()
-        if not cands:
-            return None
-        e = cands[0]
-        steps.append((e, live.nbrs[e]))
-        live.delete(e)
-    return _order(tuple(steps))
+    steps = _greedy(_DeletionState(clutter.mask_set(), clutter.d),
+                    _StateBudget(None))
+    return None if steps is None else _order(steps)
 
 
 def enumerate_simplicial_orders(clutter: Clutter,
@@ -416,7 +549,9 @@ def co_chordal_sequence(clutter: Clutter,
     of the complete d-uniform clutter on [n], whose deletions remove
     exactly the complement's circuits.  Returns the sequence (empty for
     the complete clutter itself) or None when no such sequence exists.
-    max_states bounds the search as in find_simplicial_order.
+    With max_states set, SearchLimitReached is raised once the driver
+    has expanded that many distinct states; a negative one raises
+    ValueError.
 
     Chordality and co-chordality are logically independent here: one is
     never inferred from the other.

@@ -93,6 +93,11 @@ class Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+MAX_STATES_HELP = ("search budget in expanded states: one per greedy step for "
+                   "d = 2, otherwise the backtracking states summed over the "
+                   "(d-1)-components; exceeding it exits 2")
+
+
 def _state_budget(text: str) -> int:
     """--max-states value: a non-negative integer."""
     try:
@@ -126,7 +131,7 @@ def _build_parser() -> Parser:
     p_check.add_argument("file")
     p_check.add_argument("--json", action="store_true", dest="as_json")
     p_check.add_argument("--max-states", type=_state_budget, default=None,
-                         help="search budget; exceeding it exits 2")
+                         help=MAX_STATES_HELP)
 
     p_inv = sub.add_parser("invariants",
                            help="f/h/Betti invariants of a chordal clutter file")
@@ -137,7 +142,8 @@ def _build_parser() -> Parser:
     p_inv.add_argument("--verify", action="store_true",
                        help="cross-check against the enumeration oracles")
     p_inv.add_argument("--json", action="store_true", dest="as_json")
-    p_inv.add_argument("--max-states", type=_state_budget, default=None)
+    p_inv.add_argument("--max-states", type=_state_budget, default=None,
+                       help=MAX_STATES_HELP)
 
     p_lam = sub.add_parser("lambda", help="lambda-sequence arithmetic for (n, d)")
     lam_sub = p_lam.add_subparsers(dest="mode", required=True)

@@ -6,7 +6,10 @@ unchanged apart from their names (and the indentation of their
 signatures), together with the two helpers they call.  The driver must
 return exactly what they return: the same witness, the same co-chordal
 sequence, the same enumeration in the same order, and the same budget
-behaviour.
+behaviour.  find_simplicial_order runs a reduced search (greedy for
+d = 2, one driver run per (d-1)-component otherwise): it must return the
+reference's witness, expand no more states, and under a budget either
+give the reference's answer or none.
 
 The driver reads its candidates off an incremental deletion state.  The
 second half of this file checks that state against a from-scratch
@@ -18,6 +21,8 @@ from __future__ import annotations
 
 import random
 import sys
+import time
+from collections import Counter
 from itertools import combinations
 
 import pytest
@@ -42,6 +47,7 @@ from clutterlab.clutter import (
     mask_is_clique,
     mask_of,
     neighborhood_map,
+    submaximal_circuit_masks,
     verts_of,
 )
 
@@ -220,12 +226,57 @@ def outcome(fn, *args, **kwargs):
         return SearchLimitReached
 
 
+def check_budgeted_find(c: Clutter, budget: int) -> None:
+    """find under a budget against the unbounded reference.
+
+    Any answer it gives is the reference's answer ("inconclusive" is
+    never turned into "not chordal"), and whenever the reference answers
+    within the budget, so does find.
+    """
+    got = outcome(find_simplicial_order, c, budget)
+    if got is not SearchLimitReached:
+        assert got == ref_find_simplicial_order(c), (c, budget)
+    if outcome(ref_find_simplicial_order, c, budget) is not SearchLimitReached:
+        assert got is not SearchLimitReached, (c, budget)
+
+
+def counted(search, c: Clutter):
+    """An unbounded search's result on c, and how many states it expanded.
+
+    The reduced search counts them on its _StateBudget; the reference
+    calls _simplicial_candidates once per expanded state.
+    """
+    seen = []
+
+    class Budget(chordality._StateBudget):
+        def __init__(self, limit):
+            super().__init__(limit)
+            seen.append(self)
+
+    plain = _simplicial_candidates
+    with pytest.MonkeyPatch.context() as mp:
+        if search is find_simplicial_order:
+            mp.setattr(chordality, "_StateBudget", Budget)
+            return search(c), seen[0].spent
+        mp.setitem(globals(), "_simplicial_candidates",
+                   lambda state, d: seen.append(state) or plain(state, d))
+        return search(c), len(seen)
+
+
+def check_find(c: Clutter):
+    """find's witness is the reference's, found in no more states; returns it."""
+    order, states = counted(find_simplicial_order, c)
+    ref, ref_states = counted(ref_find_simplicial_order, c)
+    assert order == ref, c
+    assert states <= ref_states, c
+    return order
+
+
 @pytest.mark.parametrize("n,d", [(5, 2), (5, 3)])
 def test_find_and_co_chordal_agree_exhaustively(n, d):
     chordal = co_chordal = 0
     for c in all_clutters(n, d):
-        order = find_simplicial_order(c)
-        assert order == ref_find_simplicial_order(c), c
+        order = check_find(c)
         seq = co_chordal_sequence(c)
         assert seq == ref_co_chordal_sequence(c), c
         chordal += order is not None
@@ -246,8 +297,7 @@ def test_enumeration_agrees_exhaustively():
 def test_budgets_agree_exhaustively():
     for c in all_clutters(5, 3):
         for budget in (1, 4):
-            assert outcome(find_simplicial_order, c, budget) == \
-                outcome(ref_find_simplicial_order, c, budget), (c, budget)
+            check_budgeted_find(c, budget)
             assert outcome(co_chordal_sequence, c, budget) == \
                 outcome(ref_co_chordal_sequence, c, budget), (c, budget)
 
@@ -258,6 +308,39 @@ def test_find_agrees_on_random_6_4():
     for _ in range(3000):
         c = clutter_from_masks(6, 4, (m for m in masks if rng.random() < 0.5))
         assert find_simplicial_order(c) == ref_find_simplicial_order(c), c
+
+
+def split_clutter(n: int, d: int, rng: random.Random) -> Clutter:
+    """A random clutter that often has several (d-1)-components.
+
+    Half the circuits that avoid one random vertex, then half the others
+    among those sharing no (d-1)-set with the first ones.
+    """
+    masks = d_subsets(n, d)
+    drop = 1 << rng.randrange(n)
+    core = [m for m in masks if not m & drop and rng.random() < 0.5]
+    taken = submaximal_circuit_masks(core)
+    rest = [m for m in masks if rng.random() < 0.5
+            and not submaximal_circuit_masks([m]) & taken]
+    return clutter_from_masks(n, d, core + rest)
+
+
+@pytest.mark.parametrize("n,d", [(6, 3), (6, 4), (7, 3)])
+def test_find_agrees_on_multi_component_clutters(n, d):
+    # every other clutter uniform; seen[several components, chordal]
+    masks = d_subsets(n, d)
+    seen = Counter()
+    rng = random.Random(f"split/{n}/{d}")
+    for i in range(800):
+        c = split_clutter(n, d, rng) if i % 2 else \
+            picked(n, d, masks, rng.getrandbits(len(masks)))
+        order = check_find(c)
+        seen[len(chordality._components(c.circuit_masks)) > 1, order is not None] += 1
+    assert seen[True, True] + seen[True, False] >= 100
+    assert seen[False, False] + seen[True, False] > 0 and seen[True, True] > 0
+    # No 4-uniform clutter on [6] with two components is non-chordal
+    # (an exhaustive count finds 1030 such clutters, all chordal).
+    assert seen[True, False] > 0 or (n, d) == (6, 4)
 
 
 MASKS_6_3 = d_subsets(6, 3)
@@ -288,8 +371,17 @@ def octahedron_with_triangles(k: int):
     return 6 + 3 * k, octa + [(3 + 3 * j, 4 + 3 * j, 5 + 3 * j) for j in range(1, k + 1)]
 
 
-@pytest.mark.parametrize("family", [cycle_with_leaves, cycle_with_pendants,
-                                    octahedron_with_triangles])
+def octahedron_with_triangles_at_vertex(k: int):
+    """The octahedron's 8 triangles plus k triangles through its vertex 1 (d = 3)."""
+    octa = [(a, b, c) for a in (1, 2) for b in (3, 4) for c in (5, 6)]
+    return 6 + 2 * k, octa + [(1, 5 + 2 * j, 6 + 2 * j) for j in range(1, k + 1)]
+
+
+FAMILIES = [cycle_with_leaves, cycle_with_pendants, octahedron_with_triangles,
+            octahedron_with_triangles_at_vertex]
+
+
+@pytest.mark.parametrize("family", FAMILIES)
 def test_nonchordal_families_agree(family):
     # a non-chordal core plus k simplicial extras: the failed-state memo
     # grows like 2^k, and budgets run out at every depth of that growth
@@ -299,8 +391,25 @@ def test_nonchordal_families_agree(family):
         assert find_simplicial_order(c) is None
         assert ref_find_simplicial_order(c) is None
         for budget in (1, 2, 1 << k, 1 << (k + 1)):
-            assert outcome(find_simplicial_order, c, budget) == \
-                outcome(ref_find_simplicial_order, c, budget), (c, budget)
+            check_budgeted_find(c, budget)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_nonchordal_families_take_linear_states(family):
+    # k + 1 states decide each family at k = 40, or at the largest k
+    # whose vertices fit the 64-bit masks, where the memo of the
+    # unreduced search would hold 2^k states.  Reversed labels put the
+    # non-chordal core after the extras in lex order, so that the search
+    # meets it last and takes exactly k + 1 states.
+    k = max(k for k in range(41) if family(k)[0] <= 64)
+    n, circuits = family(k)
+    for labels in (circuits, [[n + 1 - v for v in c] for c in circuits]):
+        c = make_clutter(n, len(circuits[0]), labels)
+        began = time.perf_counter()
+        assert find_simplicial_order(c, max_states=k + 1) is None
+        assert time.perf_counter() - began < 1
+    with pytest.raises(SearchLimitReached):
+        find_simplicial_order(c, max_states=k)
 
 
 # ----- the incremental deletion state ---------------------------------------------
@@ -367,7 +476,9 @@ def checked_searches(c: Clutter, made: list[CheckedState]) -> int:
     ended = 0
     for search in (find_simplicial_order, co_chordal_sequence):
         if search(c) is None:
-            assert made[-1].at_start(), c
+            # for d = 2 find is the greedy loop, which never backs up
+            if search is co_chordal_sequence or c.d != 2:
+                assert made[-1].at_start(), c
             ended += 1
     return ended
 
