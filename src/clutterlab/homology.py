@@ -29,15 +29,19 @@ Q.  A sweep that never falls back has also found the F_2 and Q tables
 equal, which checks at characteristic 2 that the resolution does not
 depend on the field.
 
-The clique complex on all n vertices is built once per call, each
-level grown from the one below it.  The complex induced on a subset W
-is read off the one of W's parent in a depth-first walk over the
-subsets, so no subset regrows or re-scans the full complex.  All
-subset enumeration is exponential in n; the caps in guards.py apply.
+The clique complex on all n vertices and its GF(2) boundary rows are
+built once per call, each level grown from the one below it.  The
+subsets are then walked upward, each reached from itself minus its
+largest vertex: its complex is its parent's plus the faces through
+that vertex, and its GF(2) ranks come from the parent's XOR bases
+extended by those faces' rows, so no subset regrows a complex or
+re-ranks its parent's rows.  All subset enumeration is exponential in
+n; the caps in guards.py apply.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections.abc import Iterable
 from dataclasses import dataclass
 
@@ -177,21 +181,26 @@ def _gf2_rows(by_size: tuple[tuple[int, ...], ...]) -> dict[int, int]:
     return rows
 
 
-def _gf2_rank(rows: Iterable[int]) -> int:
-    """Rank over GF(2) by an XOR basis that keys each row by its top bit.
+def _gf2_insert(basis: dict[int, int], row: int) -> bool:
+    """Add a row to an XOR basis that keys each row by its top bit.
 
-    A new row is reduced by the basis row with its top bit until it
-    vanishes or brings a new top bit; the rank is the basis size.
+    The row is reduced by the basis row with its top bit until it
+    vanishes or brings a new top bit, which it is then filed under.
+    Returns whether it was independent of the basis, and so added.
     """
+    while row:
+        top = row.bit_length()
+        if top not in basis:
+            basis[top] = row
+            return True
+        row ^= basis[top]
+    return False
+
+
+def _gf2_rank(rows: Iterable[int]) -> int:
+    """Rank over GF(2): the size of an XOR basis built from the rows."""
     basis: dict[int, int] = {}
-    for row in rows:
-        while row:
-            top = row.bit_length()
-            if top not in basis:
-                basis[top] = row
-                break
-            row ^= basis[top]
-    return len(basis)
+    return sum(_gf2_insert(basis, row) for row in rows)
 
 
 def _homology_ranks(by_size: tuple[tuple[int, ...], ...], rank) -> tuple[int, ...]:
@@ -267,47 +276,90 @@ class GradedBettiTable:
 def hochster_betti(clutter: Clutter, max_n: int | None = None) -> GradedBettiTable:
     """Graded Betti numbers of the circuit ideal by subset decomposition.
 
-    Builds the clique complex on all n vertices once, then walks the
-    vertex subsets depth-first from [n], removing vertices in
-    increasing order: W - v is visited from W only when v exceeds the
-    vertex removed last on the way to W.  So each subset is reached
-    exactly once, from the parent that adds back its largest missing
-    vertex.  The faces inside W - v are the faces of W that miss v,
-    taken level by level in the complex's lex order; since faces are
-    closed downward, the first level with none ends the complex.  Its
-    reduced homology books rank H~_{|W|-i-2} into entry (i, |W|).  The
-    complete clutter yields an empty table (zero ideal).
+    Builds the clique complex on all n vertices and its GF(2) boundary
+    rows once, then walks the vertex subsets upward from the empty set:
+    W + u is visited from W only for u > max W, so each nonempty subset
+    is reached exactly once, from itself minus its largest vertex.
+
+    The faces inside W + u that are not inside W are exactly the faces
+    of the full complex whose largest vertex is u and that lie in
+    W + u: such a face contains u, so it is not inside W, and a face
+    inside W + u that contains u has u as its largest vertex.  So the
+    face counts add, and each level's boundary rows are W's rows plus
+    the new faces' rows.  Inserting rows into an XOR basis of the span
+    of W's rows gives a basis of the span of all of them, so a level's
+    boundary rank is the size of its extended basis.  A level's basis
+    is copied only when a new row is reduced against it.  The columns
+    keep _gf2_rows's numbering on the full complex, which changes no
+    rank.
+
+    The new faces are added in increasing mask order, which puts every
+    face after its facets, so the faces added so far always form a
+    complex, whose ranks are kept current.  A new size-k face's
+    boundary is a cycle; when the complex so far has no homology in
+    that degree, the cycle already bounds, so the face's row lies in
+    the span of its level.  It then raises the homology one degree up
+    and is not reduced at all.
+
+    Descendants of W add only vertices above max W, so each walk entry
+    carries just the faces a descendant can still add: those whose
+    largest vertex is above max W and whose other vertices up to max W
+    lie in W.  Moving on from child W + u to child W + u' with u' > u
+    drops the faces through u, which W + u' and its descendants skip.
+
+    Each subset's reduced homology, certified over Q as in
+    reduced_homology_ranks (the Bareiss fallback filters the subset's
+    levels out of the full complex), books rank H~_{|W|-i-2} into
+    entry (i, |W|).  The complete clutter yields an empty table (zero
+    ideal).
     """
     check_cap("hochster_betti", clutter.n, HOCHSTER_DEFAULT, max_n)
     n = clutter.n
     table: dict[tuple[int, int], int] = {}
     full = clique_complex_faces(clutter, range(1, n + 1), max_n=n)
     rows = _gf2_rows(full.by_size)
-    # Each entry is a subset's parent, the parent's levels and the vertex to
-    # remove (0 for [n] itself); a child is narrowed only once it is popped.
-    stack = [(full.universe, full.by_size, 0)]
+    # An entry is a subset's mask, its parent's homology ranks (indexed as
+    # reduced_homology_ranks returns them) and bases (basis k spans the rows
+    # of the size-k faces), its new faces and the faces its descendants may
+    # still add, both in increasing mask order.
+    depth = len(full.by_size)
+    stack = [(0, [1] + [0] * (depth - 1), [{}] * depth, [], sorted(rows))]
     while stack:
-        w, levels, v = stack.pop()
-        if v:
-            vbit = 1 << (v - 1)
-            w = tuple([u for u in w if u != v])
-            narrowed = []
-            for level in levels:
+        w, ranks, bases, new, later = stack.pop()
+        ranks = ranks[:]
+        grown = bases[:]
+        for fmask in new:
+            k = fmask.bit_count()
+            if ranks[k - 1]:
+                if grown[k] is bases[k]:
+                    grown[k] = dict(bases[k])
+                if _gf2_insert(grown[k], rows[fmask]):
+                    ranks[k - 1] -= 1
+                    continue
+            ranks[k] += 1
+        bases = grown
+        booked = ranks
+        if len(ranks) - ranks.count(0) > 1:
+            levels = []
+            for level in full.by_size:
                 # Not tuple(generator): shrinking its 10-slot tuple shuffles
                 # tuple free lists and added 1 MB to 100 --verify jobs' peak.
-                inside = tuple([m for m in level if not m & vbit])
+                inside = tuple([m for m in level if m | w == w])
                 if not inside:
                     break
-                narrowed.append(inside)
-            levels = tuple(narrowed)
-        ranks = reduced_homology_ranks(FaceList(w, levels), rows)
-        size = len(w)
+                levels.append(inside)
+            booked = _homology_ranks(tuple(levels), _boundary_rank)
+        size = w.bit_count()
         # dim k = k_plus_1 - 1 books into i = size - k_plus_1 - 1 >= 0
-        for k_plus_1, rank in enumerate(ranks[:size]):
+        for k_plus_1, rank in enumerate(booked[:size]):
             if rank:
                 key = (size - k_plus_1 - 1, size)
                 table[key] = table.get(key, 0) + rank
-        stack.extend((w, levels, u) for u in w if u > v)
+        for u in range(w.bit_length() + 1, n + 1):
+            ubit = 1 << (u - 1)
+            cut = bisect_left(later, ubit << 1)  # the faces with largest vertex u
+            stack.append((w | ubit, ranks, bases, later[:cut], later[cut:]))
+            later = [m for m in later[cut:] if not m & ubit]
     entries = tuple(sorted(table.items()))
     return GradedBettiTable(n, clutter.d, entries)
 

@@ -3,6 +3,8 @@
 The reference functions below are the earlier implementations, copied
 unchanged apart from their names: the Hochster sweep that regrew and
 sorted the faces of every vertex subset, the face grower it called,
+the later walk that narrowed each subset's faces from its parent's and
+ranked them afresh,
 the rational homology it ranked with (fraction-free Bareiss
 elimination, with the cone-vertex test that skipped cones), the
 private clique-growing loop of f_vector_direct, and the direct
@@ -200,6 +202,54 @@ def ref_hochster_betti(clutter: Clutter, max_n: int | None = None) -> GradedBett
                 i = size - k_plus_1 - 1  # homological position for dim k = k_plus_1 - 1
                 if i >= 0:
                     table[(i, size)] = table.get((i, size), 0) + rank
+    entries = tuple(sorted(table.items()))
+    return GradedBettiTable(n, clutter.d, entries)
+
+
+def ref_walk_hochster_betti(clutter: Clutter, max_n: int | None = None) -> GradedBettiTable:
+    """Graded Betti numbers of the circuit ideal by subset decomposition.
+
+    Builds the clique complex on all n vertices once, then walks the
+    vertex subsets depth-first from [n], removing vertices in
+    increasing order: W - v is visited from W only when v exceeds the
+    vertex removed last on the way to W.  So each subset is reached
+    exactly once, from the parent that adds back its largest missing
+    vertex.  The faces inside W - v are the faces of W that miss v,
+    taken level by level in the complex's lex order; since faces are
+    closed downward, the first level with none ends the complex.  Its
+    reduced homology books rank H~_{|W|-i-2} into entry (i, |W|).  The
+    complete clutter yields an empty table (zero ideal).
+    """
+    check_cap("hochster_betti", clutter.n, HOCHSTER_DEFAULT, max_n)
+    n = clutter.n
+    table: dict[tuple[int, int], int] = {}
+    full = clique_complex_faces(clutter, range(1, n + 1), max_n=n)
+    rows = homology._gf2_rows(full.by_size)
+    # Each entry is a subset's parent, the parent's levels and the vertex to
+    # remove (0 for [n] itself); a child is narrowed only once it is popped.
+    stack = [(full.universe, full.by_size, 0)]
+    while stack:
+        w, levels, v = stack.pop()
+        if v:
+            vbit = 1 << (v - 1)
+            w = tuple([u for u in w if u != v])
+            narrowed = []
+            for level in levels:
+                # Not tuple(generator): shrinking its 10-slot tuple shuffles
+                # tuple free lists and added 1 MB to 100 --verify jobs' peak.
+                inside = tuple([m for m in level if not m & vbit])
+                if not inside:
+                    break
+                narrowed.append(inside)
+            levels = tuple(narrowed)
+        ranks = reduced_homology_ranks(FaceList(w, levels), rows)
+        size = len(w)
+        # dim k = k_plus_1 - 1 books into i = size - k_plus_1 - 1 >= 0
+        for k_plus_1, rank in enumerate(ranks[:size]):
+            if rank:
+                key = (size - k_plus_1 - 1, size)
+                table[key] = table.get(key, 0) + rank
+        stack.extend((w, levels, u) for u in w if u > v)
     entries = tuple(sorted(table.items()))
     return GradedBettiTable(n, clutter.d, entries)
 
@@ -438,6 +488,33 @@ def test_projective_plane_takes_the_bareiss_fallback(monkeypatch):
     calls = bareiss.calls
     assert hochster_betti(RP2) == ref_hochster_betti(RP2)
     assert bareiss.calls > calls
+
+
+def seeded_6_3_and_7_3():
+    """The sixty clutters of test_oracles_agree_on_seeded_6_3_and_7_3."""
+    rng = random.Random(11)
+    for n in (6, 7):
+        for k in range(30):
+            if k % 2:
+                yield random_chordal_clutter(n, 3, steps=rng.randint(1, 2 * n), rng=rng)
+            else:
+                yield random_clutter(n, 3, rng.choice((0.3, 0.5, 0.7, 0.9)), rng)
+
+
+def test_both_walks_fall_back_on_the_same_subsets(monkeypatch):
+    # The narrowing walk runs the F_2 certificate once per subset, and
+    # each fallback ranks every boundary map of the subset's complex.
+    bareiss = CountCalls(homology.integer_matrix_rank)
+    monkeypatch.setattr(homology, "integer_matrix_rank", bareiss)
+    fell_back = 0
+    for c in [RP2, *seeded_6_3_and_7_3()]:
+        start = bareiss.calls
+        table = hochster_betti(c)
+        walk = bareiss.calls - start
+        assert table == ref_walk_hochster_betti(c), c
+        assert bareiss.calls - start == 2 * walk, c
+        fell_back += walk > 0
+    assert fell_back > 1  # RP^2 and at least one seeded clutter
 
 
 def test_no_fallback_on_the_benchmark_verify_inputs(monkeypatch, tmp_path):
