@@ -13,9 +13,13 @@ Every search here reads its candidates off one mutable deletion state,
 _DeletionState: the live circuit set, the neighborhood map e -> N(e),
 the set of simplicial elements, and a lexicographic rank per element
 fixed once from the start clutter (deletions only remove circuits, so
-no element appears later that was not there at the start).  Deleting e
-updates the state in place and records what changed, so the deletion
-can be undone; the update rule and its soundness are below.
+no element appears later that was not there at the start).  The
+simplicial set is a bit mask over those ranks, so the lex-first
+candidate is its lowest bit, and a state's next untried candidate is
+its lowest bit above the rank last tried; no state sorts its
+candidates.  Deleting e updates the state in place and records what
+changed, so the deletion can be undone; the update rule and its
+soundness are below.
 replay_order does not use the state: it certifies a witness by
 recomputing every step from the circuits alone.
 
@@ -31,6 +35,13 @@ standing rules:
   deterministic witness;
 * states from which no completion exists are memoized by their circuit
   set, so the search never re-explores a failed region.
+
+A memo key is a pass over the live circuits, so it is built only when
+the memo can use it: a failing state's key when it fails, and a
+child's key only when some failed state has the child's circuit count
+(the live count minus |N(e)|).  The target test compares counts first.
+So the first descent of a chordal component builds no key, and each of
+its steps costs what the deletion touches.
 
 The memo is sound for enumeration as well as for the decision.  Within
 one run the target is fixed, so the deletions available in a state, and
@@ -126,6 +137,41 @@ for the closed ones.
   subset of N'[f] and some c in N(e) is in N'[f]: on masks,
   e & ~N'[f] == 0 and N(e) & N'[f] != 0.  This holds whether or not
   N(f) shrank, so a simplicial element never needs a clique test.
+* Which simplicial elements flip, found without a scan.  Every search
+  deletes a simplicial e, so K = N[e] is a clique of C.  A simplicial f
+  other than e stops being simplicial when N'(f) is empty, which makes
+  f touched, or, by the rule above, when e lies in N'[f] and N'[f]
+  meets N(e).  A touched f other than e is e - {y} + {c} for some y in
+  e and c in N(e).  The removed circuits all contain e, so y is the
+  only vertex f loses, and e is not inside N'[f]: f stays simplicial
+  unless N'(f) is empty.  An untouched f has N'[f] = N[f].  If that is
+  a clique holding e, each vertex x of it outside e makes e + {x} a
+  circuit, so x is in N(e).  N[f] then lies inside K, and f, being
+  untouched, has two or more vertices in N(e).  Conversely, let f be a
+  simplicial (d-1)-subset of K with two or more vertices in N(e).  It
+  is untouched, because a removed circuit e + {c} holds one vertex of
+  N(e).  Each x of K outside f makes f + {x}, a d-subset of the clique
+  K, a circuit, so K lies inside N[f]: e is inside N'[f], and f's own
+  vertices in N(e) meet it, so f flips.  The simplicial elements that
+  flip are therefore e, the touched f whose neighborhood emptied, and
+  the simplicial (d-1)-subsets of K with two or more vertices in N(e).
+  delete enumerates the (d-1)-subsets of K for the last kind, as many
+  as e's own clique test reads; for d = 2 there are none.
+* Fresh clique tests read the map.  Every d-subset S of a vertex set W
+  is g + {v}, where g is the d-1 lowest vertices of S and v lies above
+  max g, and S is a circuit exactly when v is in N(g).  So W is a
+  clique exactly when, for every (d-1)-subset g of W, the vertices of W
+  above max g all lie in N(g): C(k, d-1) map reads for |W| = k, where
+  probing C takes C(k, d).  The test groups the g by their top vertex
+  t, ANDs their N(g), and skips t = max W, above which nothing lies.
+  When N(f) is a single vertex c, N[f] = f + {c} is itself a circuit,
+  hence a clique, and no read is needed.  For d = 1 the only g is the
+  empty set, every vertex lies above it, and the rule reads W inside
+  N(empty set).  delete runs the tests after every removed circuit has
+  left the map, so the map describes C', except that an emptied entry
+  may still be present with value 0.  The test reads N(g) as
+  nbrs.get(g, 0), and a present 0 and an absent entry both read as
+  "no neighbors", which is what C' says.
 
 An undo restores the removed circuits (again read off N(e)), the saved
 old neighborhoods and the simplicial flags the deletion flipped.
@@ -137,7 +183,9 @@ import heapq
 from collections import Counter
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
-from itertools import islice
+from functools import reduce
+from itertools import combinations, islice, repeat
+from operator import and_
 
 from .clutter import (
     Clutter,
@@ -218,29 +266,57 @@ def _circuits_through(e: int, nbr: int) -> list[int]:
 class _DeletionState:
     """Circuits, neighborhoods and simplicial elements under deletion.
 
-    delete(e) removes every circuit containing e and updates the
-    neighborhood map and the simplicial set by the rule in the module
-    docstring; undo() reverts the latest deletion not yet undone.
+    delete(e) removes every circuit containing e, for a simplicial e (the
+    only kind any search deletes), and updates the neighborhood map and
+    the simplicial set by the rule in the module docstring; undo()
+    reverts the latest deletion not yet undone.  Elements are numbered
+    by lex rank (by_rank lists them, rank maps back), and simplicial is
+    the bit mask of the simplicial ones' ranks, so its lowest bit is the
+    lex-first candidate.
     """
 
-    __slots__ = ("d", "circuits", "nbrs", "simplicial", "rank", "_undo")
+    __slots__ = ("d", "circuits", "nbrs", "rank", "by_rank", "simplicial", "_undo")
 
     def __init__(self, circuits: frozenset[int], d: int):
         self.d = d
         self.circuits = set(circuits)
-        self.nbrs = neighborhood_map(circuits)
-        self.simplicial = {e for e, nbr in self.nbrs.items()
-                           if mask_is_clique(self.circuits, e | nbr, d)}
-        self.rank = {e: i for i, e in enumerate(sorted(self.nbrs, key=verts_of))}
+        self.nbrs = nbrs = neighborhood_map(circuits)
+        self.by_rank = sorted(nbrs, key=verts_of)
+        self.rank = {e: r for r, e in enumerate(self.by_rank)}
+        self.simplicial = sum(1 << r for r, e in enumerate(self.by_rank)
+                              if self._closed_is_clique(e, nbrs[e]))
         # Per deletion: (e, N(e), old N(f) of every shrunk f, flipped flags).
-        self._undo: list[tuple[int, int, dict[int, int], list[int]]] = []
+        self._undo: list[tuple[int, int, dict[int, int], int]] = []
 
     def candidates(self) -> list[int]:
-        """The simplicial element masks, lex sorted by vertex tuple."""
-        return sorted(self.simplicial, key=self.rank.__getitem__)
+        """The simplicial element masks, lex sorted by vertex tuple.
+
+        verts_of lists the positions of simplicial's bits, 1-based.
+        """
+        return [self.by_rank[i - 1] for i in verts_of(self.simplicial)]
+
+    def _closed_is_clique(self, f: int, nbr: int) -> bool:
+        """Whether N[f] = f + nbr is a clique, read off the neighborhood map."""
+        if not nbr & (nbr - 1):
+            return True
+        closed = f | nbr
+        get = self.nbrs.get
+        if self.d == 1:
+            return not closed & ~get(0, 0)
+        bits = _circuits_through(0, closed)
+        # Each g is a head of d - 2 vertices below its top vertex t.  A t
+        # at the top of closed has nothing above it to test.
+        width = self.d - 2
+        for j in range(width, len(bits) - 1):
+            t = bits[j]
+            heads = map(sum, combinations(bits[:j], width))
+            common = reduce(and_, map(get, map(t.__or__, heads), repeat(0)))
+            if closed & -(t << 1) & ~common:
+                return False
+        return True
 
     def delete(self, e: int) -> None:
-        circuits, nbrs, simplicial = self.circuits, self.nbrs, self.simplicial
+        circuits, nbrs, rank = self.circuits, self.nbrs, self.rank
         gone = nbrs[e]
         old: dict[int, int] = {}
         for m in _circuits_through(e, gone):
@@ -253,28 +329,37 @@ class _DeletionState:
                     old[f] = nbrs[f]
                 nbrs[f] ^= low
                 rest ^= low
-        flipped = [f for f in simplicial if not (nbr := nbrs[f])
-                   or (closed := f | nbr) & e == e and closed & gone]
+        simplicial = self.simplicial
+        flipped = 0
         for f in old:
             nbr = nbrs[f]
+            bit = 1 << rank[f]
             if not nbr:
                 del nbrs[f]
-            elif f not in simplicial and mask_is_clique(circuits, f | nbr, self.d):
-                flipped.append(f)
-        simplicial.symmetric_difference_update(flipped)
+                flipped |= simplicial & bit
+            elif not simplicial & bit and self._closed_is_clique(f, nbr):
+                flipped |= bit
+        if self.d > 2 and gone & (gone - 1):
+            # The (d-1)-subsets of the clique N[e] with two or more
+            # vertices in N(e): each simplicial one flips.  Each lies in
+            # a circuit of N[e], so it has a rank.
+            for f in map(sum, combinations(_circuits_through(0, e | gone), self.d - 1)):
+                if (f & gone).bit_count() > 1:
+                    flipped |= simplicial & 1 << rank[f]
+        self.simplicial ^= flipped
         self._undo.append((e, gone, old, flipped))
 
     def undo(self) -> None:
         e, gone, old, flipped = self._undo.pop()
         self.circuits.update(_circuits_through(e, gone))
         self.nbrs.update(old)
-        self.simplicial.symmetric_difference_update(flipped)
+        self.simplicial ^= flipped
 
 
 def simplicial_elements(clutter: Clutter) -> frozenset[Vertices]:
     """All simplicial (d-1)-subsets of the clutter."""
     state = _DeletionState(clutter.mask_set(), clutter.d)
-    return frozenset(verts_of(e) for e in state.simplicial)
+    return frozenset(map(verts_of, state.candidates()))
 
 
 # ----- the deletion-sequence driver -----------------------------------------
@@ -298,18 +383,21 @@ def _deletion_sequences(start: frozenset[int], target: frozenset[int], d: int,
     if not isinstance(budget, _StateBudget):
         budget = _StateBudget(budget)
     protected = submaximal_circuit_masks(target)
-    failed: set[frozenset[int]] = set()
+    # Failed states by circuit count; a child's key is built only when
+    # some failed state has its size.
+    failed: dict[int, set[frozenset[int]]] = {}
     yielded = 0
     live = _DeletionState(start, d)
-    nbrs = live.nbrs
-    # The current path: (state, its untried candidates, sequences yielded
-    # before it was entered).  steps[i] is the (element, neighborhood)
-    # step taken out of path[i]; live holds the state after every step.
-    path: list[tuple[frozenset[int], Iterator[int], int]] = []
+    circuits, nbrs, by_rank = live.circuits, live.nbrs, live.by_rank
+    # The current path: [lowest rank not yet tried, sequences yielded
+    # before the state was entered].  steps[i] is the (element,
+    # neighborhood) step taken out of path[i]; live holds the state after
+    # every step, and after backing up it is path[-1]'s state again, so
+    # its untried candidates are live.simplicial's bits from that rank up.
+    path: list[list[int]] = []
     steps: list[tuple[int, int]] = []
-    state = start
     while True:
-        if state == target:
+        if len(circuits) == len(target) and circuits == target:
             yield tuple(steps)
             yielded += 1
             if steps:
@@ -317,25 +405,31 @@ def _deletion_sequences(start: frozenset[int], target: frozenset[int], d: int,
                 live.undo()
         else:
             budget.expand()
-            path.append((state, iter(live.candidates()), yielded))
+            path.append([0, yielded])
         # Back up to the deepest state with an untried candidate whose
         # deletion leaves a state not known to fail; take it.
         while path:
-            here, cands, before = path[-1]
-            for e in cands:
+            here = path[-1]
+            untried = live.simplicial >> here[0] << here[0]
+            while untried:
+                low = untried & -untried
+                untried ^= low
+                e = by_rank[low.bit_length() - 1]
                 if e not in protected:
                     nbr = nbrs[e]
-                    state = here.difference(_circuits_through(e, nbr))
-                    if state not in failed:
+                    known = failed.get(len(circuits) - nbr.bit_count())
+                    if not known or frozenset(circuits).difference(
+                            _circuits_through(e, nbr)) not in known:
                         break
             else:
                 path.pop()
-                if yielded == before:
-                    failed.add(here)
+                if yielded == here[1]:
+                    failed.setdefault(len(circuits), set()).add(frozenset(circuits))
                 if steps:
                     steps.pop()
                     live.undo()
                 continue
+            here[0] = low.bit_length()
             live.delete(e)
             steps.append((e, nbr))
             break
@@ -356,13 +450,13 @@ def _greedy(live: _DeletionState,
     when a state with circuits has no simplicial element.  Each state
     with circuits counts as one expanded state against budget.
     """
-    rank = live.rank.__getitem__
     steps = []
     while live.circuits:
         budget.expand()
-        if not live.simplicial:
+        simplicial = live.simplicial
+        if not simplicial:
             return None
-        e = min(live.simplicial, key=rank)
+        e = live.by_rank[(simplicial & -simplicial).bit_length() - 1]
         steps.append((e, live.nbrs[e]))
         live.delete(e)
     return steps

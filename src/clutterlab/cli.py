@@ -13,9 +13,10 @@ Usage summary (see README for the file formats):
 
 Exit codes: 0 success (chordal where that is the question), 1 not
 chordal (or a failed verification), 2 inconclusive: the search hit its
---max-states budget, or the run ran out of memory or recursion depth,
-64 malformed input or arguments.  Data goes to stdout, diagnostics to
-stderr.
+--max-states budget, the run ran out of memory or recursion depth, or
+the reader closed stdout before the report reached it (then stderr
+stays empty), 64 malformed input or arguments.  Data goes to stdout,
+diagnostics to stderr.
 
 Requests whose answer is too big are refused with exit 64 before any
 work: `generate` above GENERATE_MAX_CIRCUITS d-subsets C(n, d), and
@@ -30,7 +31,7 @@ the tool reproduces the report.
 from __future__ import annotations
 
 import argparse
-import json
+import os
 import sys
 from collections import Counter
 from functools import cache
@@ -59,6 +60,7 @@ from .io import (
     clutter_to_json,
     clutter_to_json_dict,
     clutter_to_text,
+    dumps_report,
     parse_clutter_file,
 )
 from .macaulay import (
@@ -220,7 +222,7 @@ def _print_human_check(report: dict, out) -> None:
 def cmd_check(args) -> int:
     _, report = _chordal_analysis(args.file, args.max_states)
     if args.as_json:
-        print(json.dumps(report, indent=2))
+        print(dumps_report(report))
     else:
         _print_human_check(report, sys.stdout)
     return EXIT_OK if report["chordal"] else EXIT_NOT_CHORDAL
@@ -294,7 +296,7 @@ def cmd_invariants(args) -> int:
                 code = EXIT_NOT_CHORDAL
 
     if args.as_json:
-        print(json.dumps(report, indent=2))
+        print(dumps_report(report))
     else:
         _print_human_invariants(report)
     return code
@@ -404,7 +406,7 @@ def cmd_lambda(args) -> int:
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     if args.as_json:
-        print(json.dumps(out, indent=2))
+        print(dumps_report(out))
     else:
         print(human)
     if args.mode == "validate" and not out["valid"]:
@@ -446,7 +448,21 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
         command = {"check": cmd_check, "invariants": cmd_invariants,
                    "lambda": cmd_lambda, "generate": cmd_generate}[args.command]
-        return command(args)
+        code = command(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader closed stdout, so no answer reached it.  Point the fd
+        # at devnull so that the flush at exit does not raise again.
+        try:
+            fd = sys.stdout.fileno()
+        except (AttributeError, OSError, ValueError):
+            pass  # an in-process stream such as StringIO
+        else:
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, fd)
+            os.close(devnull)
+        return EXIT_INCONCLUSIVE
     except (SearchLimitReached, MemoryError, RecursionError) as exc:
         # Out of memory or stack is no answer either, never "not chordal".
         print(f"inconclusive: {str(exc) or type(exc).__name__}", file=sys.stderr)

@@ -11,11 +11,15 @@ is "{" is parsed as the JSON form instead:
 Parse failures raise ClutterParseError carrying the offending line
 number where there is one; so do a file that is not UTF-8 and JSON
 nested too deeply, or holding an integer too long, for Python to load.
+
+Reports are written by dumps_report, which returns what
+json.dumps(value, indent=2) returns, byte for byte.
 """
 
 from __future__ import annotations
 
 import json
+from json.encoder import encode_basestring_ascii
 from typing import Any
 
 from .clutter import Clutter, make_clutter
@@ -123,4 +127,66 @@ def clutter_to_text(clutter: Clutter) -> str:
 
 
 def clutter_to_json(clutter: Clutter) -> str:
-    return json.dumps(clutter_to_json_dict(clutter), indent=2) + "\n"
+    return dumps_report(clutter_to_json_dict(clutter)) + "\n"
+
+
+def dumps_report(value: Any) -> str:
+    """json.dumps(value, indent=2), byte for byte, built in one pass.
+
+    With indent set, json.dumps runs the pure-Python encoder, which
+    yields a few pieces per value.  This writer walks lists, tuples and
+    dicts itself, as that encoder does, and writes a list of exact ints,
+    the bulk of a report, with a single join.  Every other scalar (bools
+    and other int subclasses, floats, str subclasses) goes to json.dumps,
+    which writes a scalar on one line whatever the indent, and dict keys
+    follow json's rules, so no value comes out different.
+    """
+    out: list[str] = []
+    _write(value, "\n", out)
+    return "".join(out)
+
+
+def _write(value: Any, newline: str, out: list[str]) -> None:
+    """Append value's JSON to out; newline starts a line at its depth."""
+    kind = type(value)
+    if kind is str:
+        out.append(encode_basestring_ascii(value))
+    elif kind is int:
+        out.append(int.__repr__(value))
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        if {*map(type, value)} == {int}:
+            out.append(f"[{inner}{(',' + inner).join(map(int.__repr__, value))}{newline}]")
+            return
+        sep = "[" + inner
+        for item in value:
+            out.append(sep)
+            _write(item, inner, out)
+            sep = "," + inner
+        out.append(newline + "]")
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key, item in value.items():
+            out.append(sep + encode_basestring_ascii(_json_key(key)) + ": ")
+            _write(item, inner, out)
+            sep = "," + inner
+        out.append(newline + "}")
+    else:
+        out.append(json.dumps(value))
+
+
+def _json_key(key: Any) -> str:
+    """A dict key as json.dumps turns it into a string."""
+    if isinstance(key, str):
+        return key
+    if key is None or isinstance(key, (int, float)):
+        return json.dumps(key)
+    raise TypeError(f"keys must be str, int, float, bool or None, "
+                    f"not {key.__class__.__name__}")

@@ -2,9 +2,14 @@
 
 from __future__ import annotations
 
+import io
 import json
+import os
+import subprocess
+import sys
 import time
 from math import comb, log10
+from pathlib import Path
 
 import pytest
 
@@ -438,6 +443,40 @@ def test_resource_exhaustion_is_inconclusive(capsys, monkeypatch, exc):
     monkeypatch.setattr(cli, "complete_clutter", exhausted)
     code, out, err = run(capsys, "generate", "complete", "4", "3")
     assert (code, out, err) == (2, "", f"inconclusive: {exc.__name__}\n")
+
+
+class ClosedPipe(io.StringIO):
+    """An in-process stdout whose reader has gone away."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "EX", "--json"], ["check", "CYCLE"], ["invariants", "EX", "--json"],
+    ["lambda", "complete", "6", "3", "--json"], ["lambda", "validate", "5", "3", "9"],
+    ["generate", "complete", "5", "3"]])
+def test_closed_stdout_exits_2_in_process(ex_file, cycle_file, capsys, monkeypatch,
+                                          argv):
+    # 1 would read as "not chordal"; no answer reached the reader, so 2
+    files = {"EX": ex_file, "CYCLE": cycle_file}
+    monkeypatch.setattr(sys, "stdout", ClosedPipe())
+    assert main([files.get(a, a) for a in argv]) == 2
+    assert capsys.readouterr().err == ""
+
+
+def test_closed_pipe_exits_2_without_a_traceback():
+    # about 1 MB of report, far more than a pipe buffers
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "clutterlab.cli", "lambda", "complete", "90000", "3",
+         "--json"], stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.read(1) == b"{"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(timeout=60), err) == (2, b"")
 
 
 def test_unknown_arguments(capsys):

@@ -19,6 +19,7 @@ from clutterlab import (
     parse_clutter,
     parse_clutter_file,
 )
+from clutterlab.io import dumps_report
 
 EX = make_clutter(5, 3, [(1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4), (1, 4, 5)])
 
@@ -71,6 +72,46 @@ def clutters(draw):
 def test_round_trips_on_random_clutters(c):
     assert parse_clutter(clutter_to_text(c)) == c
     assert parse_clutter(clutter_to_json(c)) == c
+
+
+@given(clutters())
+@example(make_clutter(4, 3, []))
+@example(make_clutter(3, 1, [(2,)]))
+def test_clutter_json_is_written_as_json_dumps_writes_it(c):
+    assert clutter_to_json(c) == json.dumps(clutter_to_json_dict(c), indent=2) + "\n"
+
+
+# Report-shaped values: exact ints of any size, int lists with bools
+# mixed in, strings with non-ASCII and control characters and lone
+# surrogates, None, empty containers and tuples; also floats, which
+# dumps_report leaves to json.dumps, and dict keys that json turns into
+# strings.
+INTS = st.integers() | st.integers(-2**300, 2**300)
+STRINGS = st.text(st.characters(blacklist_categories=()))
+LEAVES = (st.none() | st.booleans() | INTS | STRINGS | st.floats()
+          | st.lists(INTS | st.booleans()))
+KEYS = STRINGS | INTS | st.none() | st.booleans() | st.floats()
+REPORTS = st.recursive(
+    LEAVES,
+    lambda kids: (st.lists(kids) | st.lists(kids).map(tuple)
+                  | st.dictionaries(KEYS, kids)),
+    max_leaves=30)
+
+
+@given(REPORTS)
+@example({"order": {"elements": [[], []], "neighborhood_sizes": [2, 1]}})
+@example([[], {}, (), [[]], {"": {}}, [True, 1], (1, 2)])
+@example({"a\u00e9\x00\n": ["\ud800", -10**80, None]})
+def test_report_writer_is_json_dumps(value):
+    assert dumps_report(value) == json.dumps(value, indent=2)
+
+
+def test_report_writer_refuses_what_json_refuses():
+    for bad in ({(1, 2): 3}, {"a": [{1, 2}]}):
+        with pytest.raises(TypeError):
+            json.dumps(bad, indent=2)
+        with pytest.raises(TypeError):
+            dumps_report(bad)
 
 
 def test_parse_errors_carry_line_numbers():
