@@ -8,7 +8,7 @@ graded Betti data of the circuit ideal of the complement), and checks
 everything against independent enumeration oracles.
 """
 
-from __future__ import annotations
+from types import ModuleType as _ModuleType
 
 __version__ = "0.1.0"
 
@@ -106,4 +106,6 @@ from .io import (
     parse_clutter_file,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# The API only: not the submodules that the imports above bind as well.
+__all__ = [name for name in dir() if not name.startswith("_")
+           and not isinstance(globals()[name], _ModuleType)]

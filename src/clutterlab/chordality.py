@@ -106,11 +106,36 @@ components.
   share a (d-1)-set with it forms one component, so for d >= 3 such an
   input costs as much as before.
 
-Evidence, not proof, on greedy for d = 3:
-tests/greedy_census_6_3.py runs greedy and find_simplicial_order on all
-2^20 3-uniform clutters on 6 vertices.  739592 of them are chordal, and
-greedy completed on every one of those, with find's witness (run once,
-in 341 s).  A 3-uniform dead-end therefore needs at least 7 vertices.
+Simplicial deletions for d >= 3: reduced, not settled.  Greedy would
+decide every d if no simplicial deletion took a chordal clutter to a
+non-chordal one.  Let e and w != e both be simplicial in C.  By the flip
+rule of the incremental-update section below, deleting e leaves w
+simplicial or without neighbors, unless w lies inside N[e] and
+|w - e| >= 2.  In that case N[w] = N[e], and the condition is symmetric
+in e and w.  Suppose w begins a simplicial order of C and is outside
+that case.  Then e is simplicial or without neighbors in C - w, which
+is chordal and has fewer circuits, so by induction on the circuit count
+(C - w) - e is chordal.  Deletions commute, so C - e reaches that
+clutter by deleting w, which is simplicial or without neighbors in
+C - e (deleting an element without neighbors changes nothing); so C - e
+is chordal.  Hence a smallest counterexample (C, e) has N[w] = N[e] and
+|w - e| >= 2 for every w that begins an order of C.  For d = 2,
+|w - e| <= 1, which reproves for simplicial deletions the lemma the
+d = 2 bullet above uses.
+
+Evidence, not proof, for d >= 3.  tests/greedy_census_6_3.py runs
+greedy and find_simplicial_order on all 2^20 3-uniform clutters on 6
+vertices.  739592 of them are chordal, and greedy completed on every one
+of those, with find's witness.  A 3-uniform dead-end therefore needs at
+least 7 vertices.  The script also decides every clutter by dynamic
+programming over circuit subsets and tries every simplicial deletion of
+every chordal clutter.  None leaves a non-chordal clutter at (6,3), nor
+among the 31738 chordal (6,4) and 969 chordal (5,3) clutters, and the
+table agrees with find on every clutter.  Two random hunts of 600 s
+each aimed at the reduction's case: K = {1,2,3,4}, e = {1,2}, w = {3,4}
+and N[e] = N[w] = K fixed, every other triple drawn at random.  They met
+no counterexample among 82649 chordal (7,3) and 13793 chordal (8,3)
+clutters.
 
 Why the incremental update is exact.  Write C for the circuits before
 deleting e and C' for those after, N(f) and N'(f) for the open
@@ -194,7 +219,6 @@ from .clutter import (
     mask_is_clique,
     mask_of,
     neighborhood_map,
-    submaximal_circuit_masks,
     verts_of,
 )
 
@@ -365,29 +389,26 @@ def simplicial_elements(clutter: Clutter) -> frozenset[Vertices]:
 # ----- the deletion-sequence driver -----------------------------------------
 
 
-def _deletion_sequences(start: frozenset[int], target: frozenset[int], d: int,
-                        budget: _StateBudget | int | None
+def _deletion_sequences(live: _DeletionState, target: frozenset[int],
+                        budget: _StateBudget
                         ) -> Iterator[tuple[tuple[int, int], ...]]:
-    """Yield every simplicial deletion sequence turning start into target.
+    """Yield every simplicial deletion sequence turning live into target.
 
     Each sequence is a tuple of (element mask, open-neighborhood mask)
     steps, and sequences come in lexicographic depth-first order.  A
     deletion that would remove a circuit of target is never tried.
     States with no completion go into the failed-state memo.  Every
-    expanded state is counted against budget, a _StateBudget shared with
-    other searches or a max_states limit (None for none) for this search
-    alone: SearchLimitReached is raised once the limit is spent, and a
-    negative max_states raises ValueError.  The path lives on an explicit
-    stack, so long orders do not touch Python's recursion limit.
+    expanded state is counted against budget, which may be shared with
+    other searches: SearchLimitReached is raised once its limit is spent.
+    The path lives on an explicit stack, so long orders do not touch
+    Python's recursion limit.  A run that is drained leaves live at its
+    start.
     """
-    if not isinstance(budget, _StateBudget):
-        budget = _StateBudget(budget)
-    protected = submaximal_circuit_masks(target)
+    protected = neighborhood_map(target)
     # Failed states by circuit count; a child's key is built only when
     # some failed state has its size.
     failed: dict[int, set[frozenset[int]]] = {}
     yielded = 0
-    live = _DeletionState(start, d)
     circuits, nbrs, by_rank = live.circuits, live.nbrs, live.by_rank
     # The current path: [lowest rank not yet tried, sequences yielded
     # before the state was entered].  steps[i] is the (element,
@@ -514,7 +535,8 @@ def find_simplicial_order(clutter: Clutter,
         return None if steps is None else _order(steps)
     witnesses = []
     for part in _components(clutter.circuit_masks):
-        steps = next(_deletion_sequences(part, frozenset(), d, budget), None)
+        steps = next(_deletion_sequences(_DeletionState(part, d), frozenset(), budget),
+                     None)
         if steps is None:
             return None
         witnesses.append(_order(steps).steps)
@@ -547,13 +569,15 @@ def enumerate_simplicial_orders(clutter: Clutter,
     can grow factorially.  Branches that provably cannot complete are
     pruned through the same failed-state memo as the decision search.
     """
-    start = clutter.mask_set()
-    n_sub = len(neighborhood_map(start))
+    # Counted before the state is built, whose clique tests a refused
+    # input would pay for nothing.
+    n_sub = len(neighborhood_map(clutter.circuit_masks))
     if n_sub > max_submaximal:
         raise ValueError(
             f"{n_sub} submaximal circuits exceed the enumeration guard "
             f"of {max_submaximal}; raise max_submaximal to proceed")
-    sequences = _deletion_sequences(start, frozenset(), clutter.d, None)
+    live = _DeletionState(clutter.mask_set(), clutter.d)
+    sequences = _deletion_sequences(live, frozenset(), _StateBudget(None))
     return [_order(steps) for steps in islice(sequences, limit)]
 
 
@@ -650,9 +674,9 @@ def co_chordal_sequence(clutter: Clutter,
     Chordality and co-chordality are logically independent here: one is
     never inferred from the other.
     """
-    start = complete_clutter(clutter.n, clutter.d).mask_set()
-    steps = next(_deletion_sequences(start, clutter.mask_set(), clutter.d,
-                                     max_states), None)
+    budget = _StateBudget(max_states)
+    live = _DeletionState(complete_clutter(clutter.n, clutter.d).mask_set(), clutter.d)
+    steps = next(_deletion_sequences(live, clutter.mask_set(), budget), None)
     return None if steps is None else tuple(verts_of(e) for e, _ in steps)
 
 

@@ -211,24 +211,6 @@ def complement(clutter: Clutter) -> Clutter:
                    canonical_mask_order(m for m in masks if m not in have))
 
 
-def submaximal_circuit_masks(circuit_masks: Iterable[int]) -> set[int]:
-    """Masks of (d-1)-subsets contained in some circuit."""
-    out = set()
-    for m in circuit_masks:
-        rest = m
-        while rest:
-            low = rest & -rest
-            out.add(m ^ low)
-            rest ^= low
-    return out
-
-
-def submaximal_circuits(clutter: Clutter) -> frozenset[Vertices]:
-    """All (d-1)-subsets contained in at least one circuit."""
-    return frozenset(
-        verts_of(m) for m in submaximal_circuit_masks(clutter.circuit_masks))
-
-
 def neighborhood_map(circuit_masks: Iterable[int]) -> dict[int, int]:
     """Map each submaximal mask e to the mask of its open neighborhood.
 
@@ -243,6 +225,11 @@ def neighborhood_map(circuit_masks: Iterable[int]) -> dict[int, int]:
             nbrs[e] = nbrs.get(e, 0) | low
             rest ^= low
     return nbrs
+
+
+def submaximal_circuits(clutter: Clutter) -> frozenset[Vertices]:
+    """All (d-1)-subsets contained in at least one circuit."""
+    return frozenset(map(verts_of, neighborhood_map(clutter.circuit_masks)))
 
 
 def open_neighborhood(clutter: Clutter, e: Iterable[int]) -> Vertices:

@@ -308,10 +308,10 @@ def hochster_betti(clutter: Clutter, max_n: int | None = None) -> GradedBettiTab
     drops the faces through u, which W + u' and its descendants skip.
 
     Each subset's reduced homology, certified over Q as in
-    reduced_homology_ranks (the Bareiss fallback filters the subset's
-    levels out of the full complex), books rank H~_{|W|-i-2} into
-    entry (i, |W|).  The complete clutter yields an empty table (zero
-    ideal).
+    reduced_homology_ranks, books rank H~_{|W|-i-2} into entry (i, |W|).
+    A subset whose sweep ranks need the Bareiss fallback is handed to
+    reduced_homology_ranks whole, with the full complex's rows.  The
+    complete clutter yields an empty table (zero ideal).
     """
     check_cap("hochster_betti", clutter.n, HOCHSTER_DEFAULT, max_n)
     n = clutter.n
@@ -340,15 +340,8 @@ def hochster_betti(clutter: Clutter, max_n: int | None = None) -> GradedBettiTab
         bases = grown
         booked = ranks
         if len(ranks) - ranks.count(0) > 1:
-            levels = []
-            for level in full.by_size:
-                # Not tuple(generator): shrinking its 10-slot tuple shuffles
-                # tuple free lists and added 1 MB to 100 --verify jobs' peak.
-                inside = tuple([m for m in level if m | w == w])
-                if not inside:
-                    break
-                levels.append(inside)
-            booked = _homology_ranks(tuple(levels), _boundary_rank)
+            booked = reduced_homology_ranks(
+                clique_complex_faces(clutter, verts_of(w), max_n=n), rows)
         size = w.bit_count()
         # dim k = k_plus_1 - 1 books into i = size - k_plus_1 - 1 >= 0
         for k_plus_1, rank in enumerate(booked[:size]):

@@ -134,12 +134,14 @@ def dumps_report(value: Any) -> str:
     """json.dumps(value, indent=2), byte for byte, built in one pass.
 
     With indent set, json.dumps runs the pure-Python encoder, which
-    yields a few pieces per value.  This writer walks lists, tuples and
-    dicts itself, as that encoder does, and writes a list of exact ints,
-    the bulk of a report, with a single join.  Every other scalar (bools
-    and other int subclasses, floats, str subclasses) goes to json.dumps,
-    which writes a scalar on one line whatever the indent, and dict keys
-    follow json's rules, so no value comes out different.
+    yields a few pieces per value.  This writer walks non-empty lists,
+    tuples and str-keyed dicts itself, as that encoder does, and writes
+    a list of exact ints, the bulk of a report, with a single join.  Any
+    other container (empty, a subclass, a dict with a key that is not a
+    str) goes whole to json.dumps(value, indent=2), its lines shifted to
+    the current depth; a JSON string holds no raw newline, so every
+    newline it writes starts a line.  Every other scalar goes to
+    json.dumps, which writes a scalar on one line whatever the indent.
     """
     out: list[str] = []
     _write(value, "\n", out)
@@ -153,10 +155,7 @@ def _write(value: Any, newline: str, out: list[str]) -> None:
         out.append(encode_basestring_ascii(value))
     elif kind is int:
         out.append(int.__repr__(value))
-    elif isinstance(value, (list, tuple)):
-        if not value:
-            out.append("[]")
-            return
+    elif (kind is list or kind is tuple) and value:
         inner = newline + "  "
         if {*map(type, value)} == {int}:
             out.append(f"[{inner}{(',' + inner).join(map(int.__repr__, value))}{newline}]")
@@ -167,26 +166,15 @@ def _write(value: Any, newline: str, out: list[str]) -> None:
             _write(item, inner, out)
             sep = "," + inner
         out.append(newline + "]")
-    elif isinstance(value, dict):
-        if not value:
-            out.append("{}")
-            return
+    elif kind is dict and value and {*map(type, value)} == {str}:
         inner = newline + "  "
         sep = "{" + inner
         for key, item in value.items():
-            out.append(sep + encode_basestring_ascii(_json_key(key)) + ": ")
+            out.append(sep + encode_basestring_ascii(key) + ": ")
             _write(item, inner, out)
             sep = "," + inner
         out.append(newline + "}")
+    elif isinstance(value, (list, tuple, dict)):
+        out.append(json.dumps(value, indent=2).replace("\n", newline))
     else:
         out.append(json.dumps(value))
-
-
-def _json_key(key: Any) -> str:
-    """A dict key as json.dumps turns it into a string."""
-    if isinstance(key, str):
-        return key
-    if key is None or isinstance(key, (int, float)):
-        return json.dumps(key)
-    raise TypeError(f"keys must be str, int, float, bool or None, "
-                    f"not {key.__class__.__name__}")

@@ -1,11 +1,20 @@
-"""Greedy dead-end census over every 3-uniform clutter on [6].
+"""Greedy and simplicial-deletion census over every 3-uniform clutter on [6].
 
 A dead-end is a chordal clutter on which greedy deletion (always the
 lex-first simplicial element, never backing up) gets stuck.  The census
 runs greedy_simplicial_order and find_simplicial_order on all 2^20
 clutters, checks that greedy's order is find's witness wherever greedy
-completes, and prints the counts and every dead-end it meets.  It exits
-1 if an order differs, and 0 otherwise.
+completes, and prints the counts and every dead-end it meets.
+
+It also decides chordality of every clutter a second way, by dynamic
+programming over circuit subsets in increasing order: a clutter is
+chordal when it is empty or some simplicial e leaves a chordal clutter
+after its deletion.  Along the way it checks the claim that every
+simplicial deletion keeps a chordal clutter chordal, and prints each
+counterexample.  The table must agree with find_simplicial_order on
+every clutter.  The same census runs first at (5,3) and (6,4), which
+take seconds.  The script exits 1 if an order differs, the two
+decisions differ or a counterexample turns up, and 0 otherwise.
 
     PYTHONPATH=src python tests/greedy_census_6_3.py
 
@@ -23,15 +32,60 @@ from clutterlab import clutter_from_masks, find_simplicial_order, greedy_simplic
 from clutterlab.clutter import mask_of
 
 
+def chordal_table(masks: list[int], d: int) -> tuple[bytearray, int]:
+    """Chordality of every clutter picked from masks, and the counterexamples.
+
+    Bit i of a pick selects masks[i].  Entry pick of the table is 1 when
+    that clutter is chordal.  A counterexample is a chordal clutter with
+    a simplicial element whose deletion leaves a clutter that is not.
+    """
+    n = max(masks).bit_length()
+    elements = []
+    for e in map(mask_of, combinations(range(1, n + 1), d - 1)):
+        through = [i for i, m in enumerate(masks) if m & e == e]
+        # For each set of live circuits through e, the circuits that the
+        # clique N[e] needs.
+        needs = {}
+        for k in range(1, len(through) + 1):
+            for live in combinations(through, k):
+                closed = e
+                for i in live:
+                    closed |= masks[i]
+                needs[sum(1 << i for i in live)] = sum(
+                    1 << j for j, m in enumerate(masks) if not m & ~closed)
+        elements.append((sum(1 << i for i in through), needs))
+    chordal = bytearray(1 << len(masks))
+    chordal[0] = 1
+    counterexamples = 0
+    for pick in range(1, len(chordal)):
+        kids = []
+        for through, needs in elements:
+            gone = pick & through
+            if gone and not needs[gone] & ~pick:
+                kids.append(chordal[pick ^ gone])
+        if any(kids):
+            chordal[pick] = 1
+            if not all(kids):
+                counterexamples += 1
+                print(f"a simplicial deletion leaves a non-chordal clutter: "
+                      f"{[m for i, m in enumerate(masks) if pick >> i & 1]}")
+    return chordal, counterexamples
+
+
 def census(n: int = 6, d: int = 3) -> int:
     masks = [mask_of(c) for c in combinations(range(1, n + 1), d)]
     began = time.perf_counter()
-    chordal = dead_ends = wrong = 0
+    table, counterexamples = chordal_table(masks, d)
+    dp_s = time.perf_counter() - began
+    chordal = dead_ends = wrong = differ = 0
     for pick in range(1 << len(masks)):
         c = clutter_from_masks(n, d, (m for i, m in enumerate(masks) if pick >> i & 1))
         order = find_simplicial_order(c)
         greedy = greedy_simplicial_order(c)
         chordal += order is not None
+        if (order is not None) != table[pick]:
+            differ += 1
+            print(f"the table and find_simplicial_order differ: {c.circuits}")
         if greedy is None and order is not None:
             dead_ends += 1
             print(f"dead-end: {c.circuits}")
@@ -40,9 +94,11 @@ def census(n: int = 6, d: int = 3) -> int:
             print(f"greedy order differs from the witness: {c.circuits}")
     print(f"({n},{d}): {1 << len(masks)} clutters, {chordal} chordal, "
           f"{dead_ends} greedy dead-ends, {wrong} differing orders, "
+          f"{counterexamples} simplicial deletions to a non-chordal clutter "
+          f"({dp_s:.0f} s), {differ} decisions differing from the table, "
           f"{time.perf_counter() - began:.0f} s")
-    return 1 if wrong else 0
+    return 1 if wrong or counterexamples or differ else 0
 
 
 if __name__ == "__main__":
-    sys.exit(census())
+    sys.exit(max(census(n, d) for n, d in ((5, 3), (6, 4), (6, 3))))

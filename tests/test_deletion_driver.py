@@ -47,7 +47,6 @@ from clutterlab.clutter import (
     mask_is_clique,
     mask_of,
     neighborhood_map,
-    submaximal_circuit_masks,
     verts_of,
 )
 
@@ -319,9 +318,9 @@ def split_clutter(n: int, d: int, rng: random.Random) -> Clutter:
     masks = d_subsets(n, d)
     drop = 1 << rng.randrange(n)
     core = [m for m in masks if not m & drop and rng.random() < 0.5]
-    taken = submaximal_circuit_masks(core)
+    taken = neighborhood_map(core)
     rest = [m for m in masks if rng.random() < 0.5
-            and not submaximal_circuit_masks([m]) & taken]
+            and not neighborhood_map([m]).keys() & taken]
     return clutter_from_masks(n, d, core + rest)
 
 
@@ -505,15 +504,16 @@ def test_drained_search_returns_the_state_to_its_start(checked_states):
     # only after backing out of every deletion it made
     total = 0
     for c in all_clutters(5, 2):
+        live = chordality._DeletionState(c.mask_set(), 2)
         total += sum(1 for _ in chordality._deletion_sequences(
-            c.mask_set(), frozenset(), 2, None))
+            live, frozenset(), chordality._StateBudget(None)))
         assert checked_states[-1].at_start(), c
     assert total > 10_000
 
 
-def test_negative_budget_is_rejected_by_the_driver():
+def test_negative_budget_is_rejected_by_the_state_budget():
     with pytest.raises(ValueError, match="non-negative"):
-        next(chordality._deletion_sequences(frozenset(), frozenset(), 2, -1))
+        chordality._StateBudget(-1)
 
 
 # ----- long orders --------------------------------------------------------------

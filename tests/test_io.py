@@ -84,8 +84,8 @@ def test_clutter_json_is_written_as_json_dumps_writes_it(c):
 # Report-shaped values: exact ints of any size, int lists with bools
 # mixed in, strings with non-ASCII and control characters and lone
 # surrogates, None, empty containers and tuples; also floats, which
-# dumps_report leaves to json.dumps, and dict keys that json turns into
-# strings.
+# dumps_report leaves to json.dumps, and dicts with keys that json turns
+# into strings, which it hands whole to json.dumps(..., indent=2).
 INTS = st.integers() | st.integers(-2**300, 2**300)
 STRINGS = st.text(st.characters(blacklist_categories=()))
 LEAVES = (st.none() | st.booleans() | INTS | STRINGS | st.floats()
@@ -98,10 +98,22 @@ REPORTS = st.recursive(
     max_leaves=30)
 
 
+class ListSubclass(list):
+    pass
+
+
+class DictSubclass(dict):
+    pass
+
+
 @given(REPORTS)
 @example({"order": {"elements": [[], []], "neighborhood_sizes": [2, 1]}})
 @example([[], {}, (), [[]], {"": {}}, [True, 1], (1, 2)])
 @example({"a\u00e9\x00\n": ["\ud800", -10**80, None]})
+# containers the writer hands whole to json.dumps, re-indented at depth >= 2
+@example({"a": [{1: "x", None: [1, {"b": []}]}, {"s": 0, 2.5: ["\n"]}]})
+@example({"a": [ListSubclass([1, [2, "c"]]), DictSubclass(b=[3], c={"d": {}})]})
+@example({"a": {"b": [[], {}, ()], "c": {"d": [], "e": {}}}})
 def test_report_writer_is_json_dumps(value):
     assert dumps_report(value) == json.dumps(value, indent=2)
 

@@ -8,10 +8,12 @@ library snippet with the value in each line's comment.
 
 from __future__ import annotations
 
+import ast
 import re
 import shlex
 from collections import Counter
 from pathlib import Path
+from types import ModuleType
 
 import pytest
 
@@ -93,3 +95,19 @@ def test_library_snippet():
             assert value == eval(comment, {"Counter": Counter}), line
         checked += 1
     assert checked == 9
+
+
+def test_star_import_binds_the_api_only():
+    # The snippet's star import must not shadow the standard library's
+    # io (or bind any other submodule, or the __future__ feature).
+    ns: dict = {}
+    exec("from clutterlab import *", ns)
+    assert not [name for name, value in ns.items() if isinstance(value, ModuleType)]
+    assert "annotations" not in ns
+    snippet = ast.parse(_block("python", "from clutterlab import"))
+    used = {node.id for node in ast.walk(snippet)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    bound = {node.id for node in ast.walk(snippet)
+             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)}
+    assert len(used - bound) >= 10
+    assert used - bound <= ns.keys()
