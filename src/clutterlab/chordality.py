@@ -56,13 +56,21 @@ element, never back up) reads its candidates off the same state.  For
 d >= 3 a stuck greedy run proves nothing; for d = 2 it proves "not
 chordal", as follows.
 
-The decision search.  find_simplicial_order does not run the driver on
-the whole input.  It decides the same question, with the same witness,
-on less: greedy for d = 2, and one driver run per (d-1)-component for
-other d.  Its state budget counts the states this reduced search
-expands: one per greedy step, or the driver's states summed over the
-components.
+The decision search.  find_simplicial_order builds one deletion state
+for the whole input and runs greedy on it.  A completed run's order is
+the witness, for every d; a stuck run decides "not chordal" for d = 2;
+only a stuck run for other d goes on to split the input into its
+(d-1)-components, on the same state.  Its state budget counts what the
+driver would expand run once per component: one state per greedy step
+when greedy completes.
 
+* Greedy's order is the witness.  On the whole input, the driver's
+  first descent takes the lex-first simplicial element in every state:
+  nothing has failed yet, so the memo skips nothing, and the target is
+  empty, so nothing is protected.  That is greedy's rule, so when greedy
+  completes, its order is the driver's first yield, the lex-first
+  witness.  By the component bullet below, that is also the merge of
+  the per-component witnesses.
 * d = 2: greedy decides (Dirac 1961; Fulkerson-Gross 1965).  Deleting a
   vertex v of a graph G removes the edges at v.  Lemma: if G has a
   simplicial order w_1, ..., w_m, then so has G - v, for any vertex v:
@@ -77,9 +85,8 @@ components.
   Greedy starting from a chordal graph therefore only ever meets chordal
   states.  A chordal state with an edge has a simplicial element by
   definition, so greedy cannot get stuck on a chordal graph, and a stuck
-  run proves "not chordal".  The driver's first descent takes the same
-  lex-first candidate at every state.  From a chordal graph it never
-  backs up, so its witness is greedy's order.
+  run proves "not chordal".  It is charged one state per step, the
+  state it got stuck in included.
 * Any d: (d-1)-components decide independently.  Join two circuits when
   they share d-1 vertices; a (d-1)-set lies in one component, the one of
   the circuits through it.  If N[f] is a clique, all its d-subsets are
@@ -96,11 +103,37 @@ components.
   next step of the component's own lex-first witness, and the other
   components are unchanged.  So the global witness is the step-wise
   merge of the per-component witnesses by lex rank, which heapq.merge
-  computes from the heads of its inputs.  The components are decided in
-  the order of their lex-first circuits, and the first that fails
-  answers None.  One component is the whole input, so the driver then
-  runs on it as before.  For d = 2 the components are the connected
-  components, but greedy needs no split.
+  computes from the heads of its inputs.  For d = 2 the components are
+  the connected components, but greedy needs no split.
+* The budget is the component-wise one.  Since a deletion in one
+  component never changes a candidate of another, greedy on the whole
+  input, restricted to one component, is that component's own greedy
+  run.  If greedy completes, each component's driver therefore follows
+  its greedy run down without backing up and expands one state per
+  step, so the sum over the components is greedy's step count: a
+  completed run is charged its steps, raising at the limit as they
+  would.  A stuck run for d >= 3 is charged nothing itself, and it has
+  done at most one step per element.
+* The stuck path, for d >= 3.  Greedy's deletions are undone, each at
+  the cost of what it touched, which restores the start state, and the
+  components are read off its neighborhood map.  A component that
+  greedy emptied had its own greedy run complete, so its driver would
+  expand one state per greedy step in it and yield those steps: it is
+  charged them, and they are its witness.  Every other component runs
+  the driver on a slice of the state: its circuits and its part of the
+  map, the global ranks, and the simplicial mask restricted to its
+  ranks.  By the component bullet, its elements are simplicial in the
+  whole input exactly when they are in the component alone, so the
+  slice is the state a build on the component alone would make,
+  numbered in the same rank order, and the driver does on it what it
+  would do on that state.  The first component whose driver fails
+  answers None.  Otherwise the witnesses are merged by global rank,
+  which is lex order.  Under a limited budget the components are taken
+  in the order of their lex-first circuits, so that the charges add up
+  in the component-wise order.  Without a limit the order changes
+  neither the answer (None exactly when some driver fails) nor the
+  merge, so only the components greedy did not empty are listed, from
+  the elements left in the state it got stuck in.
 * What is left exponential.  The memo still visits every reachable
   state of one component.  A non-chordal core with simplicial ears that
   share a (d-1)-set with it forms one component, so for d >= 3 such an
@@ -126,12 +159,13 @@ d = 2 bullet above uses.
 Evidence, not proof, for d >= 3.  tests/greedy_census_6_3.py runs
 greedy and find_simplicial_order on all 2^20 3-uniform clutters on 6
 vertices.  739592 of them are chordal, and greedy completed on every one
-of those, with find's witness.  A 3-uniform dead-end therefore needs at
-least 7 vertices.  The script also decides every clutter by dynamic
-programming over circuit subsets and tries every simplicial deletion of
-every chordal clutter.  None leaves a non-chordal clutter at (6,3), nor
-among the 31738 chordal (6,4) and 969 chordal (5,3) clutters, and the
-table agrees with find on every clutter.  Two random hunts of 600 s
+of those.  A 3-uniform dead-end therefore needs at least 7 vertices.
+The script also decides every clutter by dynamic programming over
+circuit subsets, independently of greedy and of the driver, and tries
+every simplicial deletion of every chordal clutter.  None leaves a
+non-chordal clutter at (6,3), nor among the 31738 chordal (6,4) and 969
+chordal (5,3) clutters, and the table agrees with find on every
+clutter.  Two random hunts of 600 s
 each aimed at the reduction's case: K = {1,2,3,4}, e = {1,2}, w = {3,4}
 and N[e] = N[w] = K fixed, every other triple drawn at random.  They met
 no counterexample among 82649 chordal (7,3) and 13793 chordal (8,3)
@@ -249,11 +283,16 @@ class _StateBudget:
         self.limit = limit
         self.spent = 0
 
-    def expand(self) -> None:
-        """Count one more state, or raise SearchLimitReached at the limit."""
-        if self.spent == self.limit:
+    def expand(self, states: int = 1) -> None:
+        """Count states more, or raise SearchLimitReached past the limit.
+
+        A charge that would pass the limit spends it up to the limit and
+        raises, as that many single expansions would.
+        """
+        if self.limit is not None and self.spent + states > self.limit:
+            self.spent = self.limit
             raise SearchLimitReached(f"no answer after expanding {self.spent} states")
-        self.spent += 1
+        self.spent += states
 
 
 @dataclass(frozen=True, slots=True)
@@ -379,6 +418,21 @@ class _DeletionState:
         self.nbrs.update(old)
         self.simplicial ^= flipped
 
+    def sliced(self, circuits: set[int], nbrs: dict[int, int],
+               ranks: int) -> _DeletionState:
+        """The state of one (d-1)-component, as _components lists it.
+
+        The slice owns its circuits and map, and shares the ranks, so its
+        simplicial mask is this state's masked to the component's ranks:
+        no clique test runs again.
+        """
+        part = object.__new__(type(self))
+        part.d, part.rank, part.by_rank = self.d, self.rank, self.by_rank
+        part.circuits, part.nbrs = circuits, nbrs
+        part.simplicial = self.simplicial & ranks
+        part._undo = []
+        return part
+
 
 def simplicial_elements(clutter: Clutter) -> frozenset[Vertices]:
     """All simplicial (d-1)-subsets of the clutter."""
@@ -463,52 +517,55 @@ def _order(steps: Iterable[tuple[int, int]]) -> SimplicialOrder:
         tuple((verts_of(e), nbr.bit_count()) for e, nbr in steps))
 
 
-def _greedy(live: _DeletionState,
-            budget: _StateBudget) -> list[tuple[int, int]] | None:
-    """Delete the lex-first simplicial element until no circuit is left.
+def _greedy(live: _DeletionState) -> list[tuple[int, int]]:
+    """Delete the lex-first simplicial element while there is one.
 
-    Returns the (element mask, open-neighborhood mask) steps, or None
-    when a state with circuits has no simplicial element.  Each state
-    with circuits counts as one expanded state against budget.
+    Returns the (element mask, open-neighborhood mask) steps.  The run
+    completed when live has no circuit left, and got stuck otherwise.
     """
     steps = []
-    while live.circuits:
-        budget.expand()
-        simplicial = live.simplicial
-        if not simplicial:
-            return None
+    while simplicial := live.simplicial:
         e = live.by_rank[(simplicial & -simplicial).bit_length() - 1]
         steps.append((e, live.nbrs[e]))
         live.delete(e)
     return steps
 
 
-def _components(circuit_masks: tuple[int, ...]) -> list[frozenset[int]]:
-    """The (d-1)-components of lex-sorted circuits, by their first circuit.
+def _components(live: _DeletionState, seeds: Iterable[int]
+                ) -> Iterator[tuple[int, set[int], dict[int, int]]]:
+    """The (d-1)-components of live that hold an element of seeds.
 
     Two circuits are joined when they share d-1 vertices, that is, when
-    both contain the same (d-1)-set.
+    both contain the same (d-1)-set.  Each component comes as the mask of
+    its elements' ranks, its circuits and its part of the neighborhood
+    map, in the order of its first element in seeds.  A component's
+    lex-first element is the lex-first (d-1)-subset of its lex-first
+    circuit, so with seeds in rank order the components come in the
+    order of their lex-first circuits.
     """
-    nbrs = neighborhood_map(circuit_masks)
-    parts = []
-    for first in circuit_masks:
-        # A circuit was reached exactly when its (d-1)-sets were taken.
-        if first ^ (first & -first) not in nbrs:
+    pool = dict(live.nbrs)
+    rank = live.rank
+    for first in seeds:
+        if first not in pool:
             continue
-        part, todo = {first}, [first]
+        ranks, circuits, nbrs = 0, set(), {first: pool.pop(first)}
+        todo = [first]
         while todo:
-            m = todo.pop()
-            rest = m
-            while rest:
-                low = rest & -rest
-                rest ^= low
-                f = m ^ low
-                for c in _circuits_through(f, nbrs.pop(f, 0)):
-                    if c not in part:
-                        part.add(c)
-                        todo.append(c)
-        parts.append(frozenset(part))
-    return parts
+            f = todo.pop()
+            ranks |= 1 << rank[f]
+            for m in _circuits_through(f, nbrs[f]):
+                if m in circuits:
+                    continue
+                circuits.add(m)
+                rest = m
+                while rest:
+                    low = rest & -rest
+                    rest ^= low
+                    g = m ^ low
+                    if g in pool:
+                        nbrs[g] = pool.pop(g)
+                        todo.append(g)
+        yield ranks, circuits, nbrs
 
 
 # ----- full decision procedure ---------------------------------------------
@@ -518,30 +575,48 @@ def find_simplicial_order(clutter: Clutter,
                           max_states: int | None = None) -> SimplicialOrder | None:
     """Decide chordality, returning the lex-first witness order or None.
 
-    None is a definitive negative.  For d = 2 greedy deletion decides;
-    otherwise the backtracking driver decides each (d-1)-component and
-    the witnesses are merged (the soundness arguments are in the module
-    docstring).  With max_states set, SearchLimitReached is raised once
-    that many states have been expanded, leaving the question open:
-    one state per greedy step for d = 2 (the state it gets stuck in
-    included), and for other d the driver's distinct states summed over
-    the components, taken in the order of their lex-first circuits.  A
-    negative max_states raises ValueError.
+    None is a definitive negative.  Greedy deletion runs first; its order
+    is the witness when it completes, and a stuck run decides "not
+    chordal" for d = 2.  Only a stuck run for other d decides the
+    components greedy did not empty with the backtracking driver (the
+    soundness arguments are in the module docstring).  With max_states
+    set, SearchLimitReached is raised once that many states have been
+    expanded, leaving the question open: one state per greedy step (the
+    state a d = 2 run gets stuck in included), and after a stuck run for
+    other d, greedy's steps in each emptied component and the driver's
+    distinct states in each other one, summed over the components in the
+    order of their lex-first circuits.  A negative max_states raises
+    ValueError.
     """
     budget = _StateBudget(max_states)
-    d = clutter.d
-    if d == 2:
-        steps = _greedy(_DeletionState(clutter.mask_set(), d), budget)
-        return None if steps is None else _order(steps)
-    witnesses = []
-    for part in _components(clutter.circuit_masks):
-        steps = next(_deletion_sequences(_DeletionState(part, d), frozenset(), budget),
-                     None)
-        if steps is None:
-            return None
-        witnesses.append(_order(steps).steps)
-    # Elements of different components differ, so steps never tie.
-    return SimplicialOrder(tuple(heapq.merge(*witnesses, key=lambda step: step[0])))
+    live = _DeletionState(clutter.mask_set(), clutter.d)
+    steps = _greedy(live)
+    if not live.circuits or clutter.d == 2:
+        budget.expand(len(steps) + bool(live.circuits))
+        return None if live.circuits else _order(steps)
+    rank = live.rank
+    seeds = list(live.nbrs)
+    left = sum(1 << rank[f] for f in seeds)
+    taken = sum(1 << rank[e] for e, _ in steps)
+    for _ in steps:
+        live.undo()
+    # Only a limited budget needs the components greedy emptied, whose
+    # charges fall between those of the others.
+    if budget.limit is not None:
+        seeds = live.by_rank
+    stuck, witnesses = 0, []
+    for ranks, circuits, nbrs in _components(live, seeds):
+        if ranks & left:
+            part = live.sliced(circuits, nbrs, ranks)
+            found = next(_deletion_sequences(part, frozenset(), budget), None)
+            if found is None:
+                return None
+            witnesses.append(found)
+            stuck |= ranks
+        else:
+            budget.expand((ranks & taken).bit_count())
+    witnesses.append(step for step in steps if not stuck >> rank[step[0]] & 1)
+    return _order(heapq.merge(*witnesses, key=lambda step: rank[step[0]]))
 
 
 def is_chordal(clutter: Clutter, max_states: int | None = None) -> bool:
@@ -553,11 +628,12 @@ def greedy_simplicial_order(clutter: Clutter) -> SimplicialOrder | None:
 
     Returns None when stuck.  For d = 2 a stuck run proves the graph is
     not chordal; for other d it is not evidence against chordality, and
-    find_simplicial_order makes the actual decision.
+    find_simplicial_order makes the actual decision.  That decision
+    starts with this same run, and returns its order when it completes.
     """
-    steps = _greedy(_DeletionState(clutter.mask_set(), clutter.d),
-                    _StateBudget(None))
-    return None if steps is None else _order(steps)
+    live = _DeletionState(clutter.mask_set(), clutter.d)
+    steps = _greedy(live)
+    return None if live.circuits else _order(steps)
 
 
 def enumerate_simplicial_orders(clutter: Clutter,

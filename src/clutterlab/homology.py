@@ -232,8 +232,13 @@ def reduced_homology_ranks(faces: FaceList,
     ranks = _homology_ranks(faces.by_size,
                             lambda upper, _: _gf2_rank(map(rows.__getitem__, upper)))
     if sum(map(bool, ranks)) > 1:
-        ranks = _homology_ranks(faces.by_size, _boundary_rank)
+        ranks = _rational_ranks(faces)
     return ranks
+
+
+def _rational_ranks(faces: FaceList) -> tuple[int, ...]:
+    """The fallback: reduced homology ranks over Q by Bareiss elimination."""
+    return _homology_ranks(faces.by_size, _boundary_rank)
 
 
 # ----- Hochster-style decomposition ------------------------------------------
@@ -309,9 +314,10 @@ def hochster_betti(clutter: Clutter, max_n: int | None = None) -> GradedBettiTab
 
     Each subset's reduced homology, certified over Q as in
     reduced_homology_ranks, books rank H~_{|W|-i-2} into entry (i, |W|).
-    A subset whose sweep ranks need the Bareiss fallback is handed to
-    reduced_homology_ranks whole, with the full complex's rows.  The
-    complete clutter yields an empty table (zero ideal).
+    The sweep's ranks are that function's GF(2) ranks, so a subset whose
+    certificate fails goes straight to its Bareiss fallback, on the
+    subset's own complex.  The complete clutter yields an empty table
+    (zero ideal).
     """
     check_cap("hochster_betti", clutter.n, HOCHSTER_DEFAULT, max_n)
     n = clutter.n
@@ -340,8 +346,7 @@ def hochster_betti(clutter: Clutter, max_n: int | None = None) -> GradedBettiTab
         bases = grown
         booked = ranks
         if len(ranks) - ranks.count(0) > 1:
-            booked = reduced_homology_ranks(
-                clique_complex_faces(clutter, verts_of(w), max_n=n), rows)
+            booked = _rational_ranks(clique_complex_faces(clutter, verts_of(w), max_n=n))
         size = w.bit_count()
         # dim k = k_plus_1 - 1 books into i = size - k_plus_1 - 1 >= 0
         for k_plus_1, rank in enumerate(booked[:size]):

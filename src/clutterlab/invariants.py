@@ -168,7 +168,8 @@ def betti_from_h(n: int, d: int, h: HVector, delta: int) -> BettiSequence:
     if delta > n:
         raise ValueError(f"delta = {delta} cannot exceed n = {n}")
     m = n - delta
-    # tuple([...]), not tuple(generator): see the note in hochster_betti.
+    # Not tuple(generator): CPython grows such a tuple from 10 slots and
+    # shrinks it, which shuffles tuple free lists and raises peak memory.
     expansion = tuple([
         sum((-1) ** (k - i) * binom(m, k - i) * h[i] for i in range(min(k + 1, len(h))))
         for k in range(m + len(h))

@@ -3,10 +3,12 @@
 A dead-end is a chordal clutter on which greedy deletion (always the
 lex-first simplicial element, never backing up) gets stuck.  The census
 runs greedy_simplicial_order and find_simplicial_order on all 2^20
-clutters, checks that greedy's order is find's witness wherever greedy
-completes, and prints the counts and every dead-end it meets.
+clutters, and prints the counts and every dead-end it meets.  It also
+checks that greedy's order is find's witness wherever greedy completes,
+but find starts with the same greedy run and returns its order when it
+completes, so that comparison now holds by construction.
 
-It also decides chordality of every clutter a second way, by dynamic
+The independent check is a second decision of every clutter, by dynamic
 programming over circuit subsets in increasing order: a clutter is
 chordal when it is empty or some simplicial e leaves a chordal clutter
 after its deletion.  Along the way it checks the claim that every

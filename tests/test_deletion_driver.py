@@ -6,15 +6,17 @@ unchanged apart from their names (and the indentation of their
 signatures), together with the two helpers they call.  The driver must
 return exactly what they return: the same witness, the same co-chordal
 sequence, the same enumeration in the same order, and the same budget
-behaviour.  find_simplicial_order runs a reduced search (greedy for
-d = 2, one driver run per (d-1)-component otherwise): it must return the
-reference's witness, expand no more states, and under a budget either
-give the reference's answer or none.
+behaviour.  find_simplicial_order runs a reduced search (greedy first,
+then, if greedy gets stuck for d != 2, one driver run per
+(d-1)-component greedy did not empty): it must return the reference's
+witness, expand no more states, and under a budget either give the
+reference's answer or none.
 
 The driver reads its candidates off an incremental deletion state.  The
 second half of this file checks that state against a from-scratch
 computation (the reference _simplicial_candidates) after every deletion
-and every undo along whole searches.
+and every undo along whole searches, and so it checks the slices that
+the decision cuts out of it for single components.
 """
 
 from __future__ import annotations
@@ -334,7 +336,8 @@ def test_find_agrees_on_multi_component_clutters(n, d):
         c = split_clutter(n, d, rng) if i % 2 else \
             picked(n, d, masks, rng.getrandbits(len(masks)))
         order = check_find(c)
-        seen[len(chordality._components(c.circuit_masks)) > 1, order is not None] += 1
+        live = chordality._DeletionState(c.mask_set(), d)
+        seen[len(list(chordality._components(live, live.by_rank))) > 1, order is not None] += 1
     assert seen[True, True] + seen[True, False] >= 100
     assert seen[False, False] + seen[True, False] > 0 and seen[True, True] > 0
     # No 4-uniform clutter on [6] with two components is non-chordal
@@ -421,12 +424,26 @@ class CheckedState(chordality._DeletionState):
     filter of the previous set gives (for an undo: the set before the
     deletion), the neighborhood map must be neighborhood_map of the live
     set, and the candidates, with their neighborhoods, must be the
-    reference _simplicial_candidates in the same order.
+    reference _simplicial_candidates in the same order.  A slice of one
+    component is checked in the same way from the moment it is cut, and
+    remembers the state it was cut from.
     """
+
+    sliced_from = None
 
     def __init__(self, circuits, d):
         super().__init__(circuits, d)
-        self.start = frozenset(circuits)
+        self.begin()
+
+    def sliced(self, circuits, nbrs, ranks):
+        part = super().sliced(circuits, nbrs, ranks)
+        part.sliced_from = self
+        part.begin()
+        return part
+
+    def begin(self) -> None:
+        """Check the state as built, and take it as the start."""
+        self.start = frozenset(self.circuits)
         self.before: list[frozenset[int]] = []
         self.check(self.start)
 
@@ -453,12 +470,12 @@ class CheckedState(chordality._DeletionState):
 
 @pytest.fixture
 def checked_states(monkeypatch):
-    """Every deletion state the searches make is checked; the list holds them."""
+    """Every deletion state the searches build or slice is checked; the list holds them."""
     made: list[CheckedState] = []
 
     class Recorded(CheckedState):
-        def __init__(self, circuits, d):
-            super().__init__(circuits, d)
+        def begin(self):
+            super().begin()
             made.append(self)
 
     monkeypatch.setattr(chordality, "_DeletionState", Recorded)
@@ -469,7 +486,9 @@ def checked_searches(c: Clutter, made: list[CheckedState]) -> int:
     """Run greedy, find and co-chordality on c under checked states.
 
     A search that answers None has run to its end, so its state must be
-    back at the start; returns how many searches did.
+    back at the start; for d != 2 find answers None in the slice of a
+    component, after undoing greedy on the state it was cut from.
+    Returns how many searches did.
     """
     greedy_simplicial_order(c)
     ended = 0
@@ -478,6 +497,8 @@ def checked_searches(c: Clutter, made: list[CheckedState]) -> int:
             # for d = 2 find is the greedy loop, which never backs up
             if search is co_chordal_sequence or c.d != 2:
                 assert made[-1].at_start(), c
+            if search is find_simplicial_order and c.d != 2:
+                assert made[-1].sliced_from.at_start(), c
             ended += 1
     return ended
 
@@ -486,6 +507,7 @@ def checked_searches(c: Clutter, made: list[CheckedState]) -> int:
 def test_incremental_state_matches_recompute_exhaustively(n, d, checked_states):
     ended = sum(checked_searches(c, checked_states) for c in all_clutters(n, d))
     assert ended > 100
+    assert (d == 2) != any(state.sliced_from for state in checked_states)
 
 
 def test_incremental_state_matches_recompute_on_random(checked_states):
@@ -497,6 +519,25 @@ def test_incremental_state_matches_recompute_on_random(checked_states):
             c = clutter_from_masks(n, d, (m for m in masks if rng.random() < 0.5))
             ended += checked_searches(c, checked_states)
     assert ended > 100
+
+
+def test_slices_match_recompute_on_split_clutters(checked_states):
+    # Several components, some of them emptied by greedy before it gets
+    # stuck, so slices are cut from states that hold other components'
+    # simplicial elements; the octahedron families, with reversed labels,
+    # put the stuck core after every ear.
+    rng = random.Random("slices/7/3")
+    clutters = [split_clutter(7, 3, rng) for _ in range(300)]
+    for family in FAMILIES[2:]:
+        for k in range(1, 5):
+            n, circuits = family(k)
+            clutters.append(make_clutter(n, 3, [[n + 1 - v for v in c] for c in circuits]))
+    for c in clutters:
+        if find_simplicial_order(c) is None:
+            assert checked_states[-1].at_start(), c
+            assert checked_states[-1].sliced_from.at_start(), c
+    slices = [state for state in checked_states if state.sliced_from]
+    assert sum(state.start != state.sliced_from.start for state in slices) > 20
 
 
 def test_drained_search_returns_the_state_to_its_start(checked_states):

@@ -490,6 +490,21 @@ def test_projective_plane_takes_the_bareiss_fallback(monkeypatch):
     assert bareiss.calls > calls
 
 
+def test_sweep_fallback_goes_straight_to_bareiss(monkeypatch):
+    # The sweep builds the GF(2) rows once, and a subset whose certificate
+    # fails is not ranked over GF(2) a second time before Bareiss.
+    rows = CountCalls(homology._gf2_rows)
+    gf2_rank = CountCalls(homology._gf2_rank)
+    bareiss = CountCalls(homology.integer_matrix_rank)
+    monkeypatch.setattr(homology, "_gf2_rows", rows)
+    monkeypatch.setattr(homology, "_gf2_rank", gf2_rank)
+    monkeypatch.setattr(homology, "integer_matrix_rank", bareiss)
+    for calls in (1, 2):
+        assert hochster_betti(RP2) == ref_hochster_betti(RP2)
+        assert rows.calls == calls
+    assert gf2_rank.calls == 0 and bareiss.calls > 0
+
+
 def seeded_6_3_and_7_3():
     """The sixty clutters of test_oracles_agree_on_seeded_6_3_and_7_3."""
     rng = random.Random(11)
