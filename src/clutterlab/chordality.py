@@ -113,7 +113,13 @@ when greedy completes.
   step, so the sum over the components is greedy's step count: a
   completed run is charged its steps, raising at the limit as they
   would.  A stuck run for d >= 3 is charged nothing itself, and it has
-  done at most one step per element.
+  done at most one step per element.  Under a limit s, greedy stops
+  after s + 1 steps.  A run that gets that far is charged at least s + 1
+  if it completes, or gets stuck on a graph, which is past the limit.
+  The cut run is charged past it too (s + 2 for d = 2, s + 1 if its last
+  step emptied the input), so it raises as the full run would.  For
+  d >= 3 a cut run with circuits left takes the stuck path, whose rule
+  below holds for any prefix of greedy's run.
 * The stuck path, for d >= 3.  Greedy's deletions are undone, each at
   the cost of what it touched, which restores the start state, and the
   components are read off its neighborhood map.  A component that
@@ -126,14 +132,13 @@ when greedy completes.
   whole input exactly when they are in the component alone, so the
   slice is the state a build on the component alone would make,
   numbered in the same rank order, and the driver does on it what it
-  would do on that state.  The first component whose driver fails
-  answers None.  Otherwise the witnesses are merged by global rank,
-  which is lex order.  Under a limited budget the components are taken
-  in the order of their lex-first circuits, so that the charges add up
-  in the component-wise order.  Without a limit the order changes
-  neither the answer (None exactly when some driver fails) nor the
-  merge, so only the components greedy did not empty are listed, from
-  the elements left in the state it got stuck in.
+  would do on that state.  The components are taken in the order of
+  their lex-first circuits, as a search run once per component takes
+  them, so the charges add up in the same order.  The first component
+  whose driver fails answers None.  Otherwise the witnesses are merged
+  by global rank, which is lex order.  A prefix of greedy's run that
+  empties a component holds that component's whole greedy run, so the
+  rule does not need greedy to have got stuck.
 * What is left exponential.  The memo still visits every reachable
   state of one component.  A non-chordal core with simplicial ears that
   share a (d-1)-set with it forms one component, so for d >= 3 such an
@@ -517,35 +522,34 @@ def _order(steps: Iterable[tuple[int, int]]) -> SimplicialOrder:
         tuple((verts_of(e), nbr.bit_count()) for e, nbr in steps))
 
 
-def _greedy(live: _DeletionState) -> list[tuple[int, int]]:
+def _greedy(live: _DeletionState, most: int | None = None) -> list[tuple[int, int]]:
     """Delete the lex-first simplicial element while there is one.
 
-    Returns the (element mask, open-neighborhood mask) steps.  The run
-    completed when live has no circuit left, and got stuck otherwise.
+    Returns the (element mask, open-neighborhood mask) steps, at most
+    most of them when most is given.  The run completed when live has no
+    circuit left, and stopped short otherwise.
     """
     steps = []
-    while simplicial := live.simplicial:
+    while (simplicial := live.simplicial) and len(steps) != most:
         e = live.by_rank[(simplicial & -simplicial).bit_length() - 1]
         steps.append((e, live.nbrs[e]))
         live.delete(e)
     return steps
 
 
-def _components(live: _DeletionState, seeds: Iterable[int]
+def _components(live: _DeletionState
                 ) -> Iterator[tuple[int, set[int], dict[int, int]]]:
-    """The (d-1)-components of live that hold an element of seeds.
+    """The (d-1)-components of live, in the order of their lex-first circuits.
 
     Two circuits are joined when they share d-1 vertices, that is, when
     both contain the same (d-1)-set.  Each component comes as the mask of
     its elements' ranks, its circuits and its part of the neighborhood
-    map, in the order of its first element in seeds.  A component's
-    lex-first element is the lex-first (d-1)-subset of its lex-first
-    circuit, so with seeds in rank order the components come in the
-    order of their lex-first circuits.
+    map, in rank order of its lex-first element, which is the lex-first
+    (d-1)-subset of its lex-first circuit.
     """
     pool = dict(live.nbrs)
     rank = live.rank
-    for first in seeds:
+    for first in live.by_rank:
         if first not in pool:
             continue
         ranks, circuits, nbrs = 0, set(), {first: pool.pop(first)}
@@ -585,27 +589,23 @@ def find_simplicial_order(clutter: Clutter,
     state a d = 2 run gets stuck in included), and after a stuck run for
     other d, greedy's steps in each emptied component and the driver's
     distinct states in each other one, summed over the components in the
-    order of their lex-first circuits.  A negative max_states raises
-    ValueError.
+    order of their lex-first circuits.  Under max_states greedy stops
+    after max_states + 1 steps, so a small budget bounds the work as
+    well.  A negative max_states raises ValueError.
     """
     budget = _StateBudget(max_states)
     live = _DeletionState(clutter.mask_set(), clutter.d)
-    steps = _greedy(live)
+    steps = _greedy(live, None if max_states is None else max_states + 1)
     if not live.circuits or clutter.d == 2:
         budget.expand(len(steps) + bool(live.circuits))
         return None if live.circuits else _order(steps)
     rank = live.rank
-    seeds = list(live.nbrs)
-    left = sum(1 << rank[f] for f in seeds)
+    left = sum(1 << rank[f] for f in live.nbrs)
     taken = sum(1 << rank[e] for e, _ in steps)
     for _ in steps:
         live.undo()
-    # Only a limited budget needs the components greedy emptied, whose
-    # charges fall between those of the others.
-    if budget.limit is not None:
-        seeds = live.by_rank
     stuck, witnesses = 0, []
-    for ranks, circuits, nbrs in _components(live, seeds):
+    for ranks, circuits, nbrs in _components(live):
         if ranks & left:
             part = live.sliced(circuits, nbrs, ranks)
             found = next(_deletion_sequences(part, frozenset(), budget), None)

@@ -195,9 +195,9 @@ def test_stuck_path_charges_emptied_components_before_the_core():
 
 def cut_greedy(stop: int):
     """Greedy deletion that gives up after stop steps, as if it got stuck."""
-    def run(live):
+    def run(live, most=None):
         steps = []
-        while live.simplicial and len(steps) < stop:
+        while live.simplicial and len(steps) < stop and len(steps) != most:
             e = live.by_rank[(live.simplicial & -live.simplicial).bit_length() - 1]
             steps.append((e, live.nbrs[e]))
             live.delete(e)

@@ -337,7 +337,7 @@ def test_find_agrees_on_multi_component_clutters(n, d):
             picked(n, d, masks, rng.getrandbits(len(masks)))
         order = check_find(c)
         live = chordality._DeletionState(c.mask_set(), d)
-        seen[len(list(chordality._components(live, live.by_rank))) > 1, order is not None] += 1
+        seen[len(list(chordality._components(live))) > 1, order is not None] += 1
     assert seen[True, True] + seen[True, False] >= 100
     assert seen[False, False] + seen[True, False] > 0 and seen[True, True] > 0
     # No 4-uniform clutter on [6] with two components is non-chordal
@@ -555,6 +555,29 @@ def test_drained_search_returns_the_state_to_its_start(checked_states):
 def test_negative_budget_is_rejected_by_the_state_budget():
     with pytest.raises(ValueError, match="non-negative"):
         chordality._StateBudget(-1)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_small_budget_stops_greedy_early(monkeypatch, d):
+    # Under max_states = s greedy takes at most s + 1 steps, and the
+    # driver that may follow deletes at most once per state it expands,
+    # where an unlimited run would delete len(order) times first.
+    K = complete_clutter(20, d)
+    assert len(find_simplicial_order(K)) > 11
+    deletions = 0
+    delete = chordality._DeletionState.delete
+
+    def counted(self, e):
+        nonlocal deletions
+        deletions += 1
+        delete(self, e)
+
+    monkeypatch.setattr(chordality._DeletionState, "delete", counted)
+    for budget in (0, 1, 5):
+        deletions = 0
+        with pytest.raises(SearchLimitReached):
+            find_simplicial_order(K, max_states=budget)
+        assert deletions <= 2 * budget + 1, (budget, deletions)
 
 
 # ----- long orders --------------------------------------------------------------
