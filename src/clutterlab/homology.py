@@ -35,8 +35,15 @@ subsets are then walked upward, each reached from itself minus its
 largest vertex: its complex is its parent's plus the faces through
 that vertex, and its GF(2) ranks come from the parent's XOR bases
 extended by those faces' rows, so no subset regrows a complex or
-re-ranks its parent's rows.  All subset enumeration is exponential in
-n; the caps in guards.py apply.
+re-ranks its parent's rows.  The walk reads only the faces of d or
+more vertices.  Every smaller set is a face, so the complex on a
+nonempty W holds the full (d-2)-skeleton of the simplex on W.  Over
+every field its reduced homology is then 0 below degree d - 2, and
+H~_{d-2} is C(|W|-1, d-1) minus the rank of W's size-d boundary rows;
+for d = 1 that reads H~_{-1} = 1 - r.  The empty subset, with
+H~_{-1} = 1 for every d, is the one exception, and it books nothing.
+All subset enumeration is exponential in n; the caps in guards.py
+apply.
 """
 
 from __future__ import annotations
@@ -44,6 +51,8 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections.abc import Iterable
 from dataclasses import dataclass
+from itertools import takewhile, zip_longest
+from math import comb
 
 from .clutter import Clutter, Vertices, verts_of
 from .guards import FACES_DEFAULT, HOCHSTER_DEFAULT, check_cap
@@ -122,33 +131,24 @@ def clique_complex_faces(clutter: Clutter, within: Iterable[int],
 def integer_matrix_rank(rows: list[list[int]]) -> int:
     """Rank over the rationals by fraction-free (Bareiss) elimination."""
     mat = [row[:] for row in rows if any(row)]
-    if not mat:
-        return 0
-    ncols = len(mat[0])
-    rank = 0
-    prev = 1
-    row = 0
-    for col in range(ncols):
+    prev, row = 1, 0  # row counts the pivots found so far
+    for col in range(len(mat[0]) if mat else 0):
         pivot = next((r for r in range(row, len(mat)) if mat[r][col]), None)
         if pivot is None:
             continue
         mat[row], mat[pivot] = mat[pivot], mat[row]
-        p = mat[row][col]
-        for r in range(row + 1, len(mat)):
-            factor = mat[r][col]
-            if factor == 0 and prev == 1:
-                continue
-            line = mat[r]
-            top = mat[row]
-            for c in range(col + 1, ncols):
-                line[c] = (p * line[c] - factor * top[c]) // prev
-            line[col] = 0
+        top, p = mat[row], mat[row][col]
+        for line in mat[row + 1:]:
+            factor = line[col]
+            if factor or prev != 1:
+                for c in range(col + 1, len(top)):
+                    line[c] = (p * line[c] - factor * top[c]) // prev
+                line[col] = 0
         prev = p
-        rank += 1
         row += 1
         if row == len(mat):
             break
-    return rank
+    return row
 
 
 def _boundary_rank(upper: tuple[int, ...], lower: tuple[int, ...]) -> int:
@@ -157,10 +157,8 @@ def _boundary_rank(upper: tuple[int, ...], lower: tuple[int, ...]) -> int:
     rows = []
     for fmask in upper:
         row = [0] * len(lower)
-        members = verts_of(fmask)
-        for pos, v in enumerate(members):
-            sub = fmask ^ (1 << (v - 1))
-            row[index[sub]] = -1 if pos % 2 else 1
+        for pos, v in enumerate(verts_of(fmask)):
+            row[index[fmask ^ 1 << (v - 1)]] = -1 if pos % 2 else 1
         rows.append(row)
     return integer_matrix_rank(rows)
 
@@ -181,26 +179,20 @@ def _gf2_rows(by_size: tuple[tuple[int, ...], ...]) -> dict[int, int]:
     return rows
 
 
-def _gf2_insert(basis: dict[int, int], row: int) -> bool:
-    """Add a row to an XOR basis that keys each row by its top bit.
-
-    The row is reduced by the basis row with its top bit until it
-    vanishes or brings a new top bit, which it is then filed under.
-    Returns whether it was independent of the basis, and so added.
-    """
-    while row:
-        top = row.bit_length()
-        if top not in basis:
-            basis[top] = row
-            return True
-        row ^= basis[top]
-    return False
-
-
 def _gf2_rank(rows: Iterable[int]) -> int:
-    """Rank over GF(2): the size of an XOR basis built from the rows."""
+    """Rank over GF(2): the size of an XOR basis built from the rows.
+
+    The basis keys each row by its top bit.  A row is reduced by the
+    basis row with its top bit until it vanishes or brings a new top
+    bit, which it is then filed under.
+    """
     basis: dict[int, int] = {}
-    return sum(_gf2_insert(basis, row) for row in rows)
+    for row in rows:
+        while row and (top := row.bit_length()) in basis:
+            row ^= basis[top]
+        if row:
+            basis[top] = row
+    return len(basis)
 
 
 def _homology_ranks(by_size: tuple[tuple[int, ...], ...], rank) -> tuple[int, ...]:
@@ -232,13 +224,8 @@ def reduced_homology_ranks(faces: FaceList,
     ranks = _homology_ranks(faces.by_size,
                             lambda upper, _: _gf2_rank(map(rows.__getitem__, upper)))
     if sum(map(bool, ranks)) > 1:
-        ranks = _rational_ranks(faces)
+        ranks = _homology_ranks(faces.by_size, _boundary_rank)
     return ranks
-
-
-def _rational_ranks(faces: FaceList) -> tuple[int, ...]:
-    """The fallback: reduced homology ranks over Q by Bareiss elimination."""
-    return _homology_ranks(faces.by_size, _boundary_rank)
 
 
 # ----- Hochster-style decomposition ------------------------------------------
@@ -278,33 +265,75 @@ class GradedBettiTable:
         }
 
 
-def hochster_betti(clutter: Clutter, max_n: int | None = None) -> GradedBettiTable:
+def hochster_betti(clutter: Clutter, max_n: int | None = None,
+                   faces: FaceList | None = None) -> GradedBettiTable:
     """Graded Betti numbers of the circuit ideal by subset decomposition.
 
-    Builds the clique complex on all n vertices and its GF(2) boundary
-    rows once, then walks the vertex subsets upward from the empty set:
-    W + u is visited from W only for u > max W, so each nonempty subset
-    is reached exactly once, from itself minus its largest vertex.
+    Builds the clique complex on all n vertices, unless `faces` passes
+    it in (clique_complex_faces on 1..n, as `invariants --verify` builds
+    it once for both oracles), and its GF(2) boundary rows once.  Then
+    it walks the vertex subsets upward from the empty set: W + u is
+    visited from W only for u > max W, so each nonempty subset is
+    reached exactly once, from itself minus its largest vertex.  A walk
+    entry is a parent W, and popping it builds all its children.
 
-    The faces inside W + u that are not inside W are exactly the faces
-    of the full complex whose largest vertex is u and that lie in
-    W + u: such a face contains u, so it is not inside W, and a face
-    inside W + u that contains u has u as its largest vertex.  So the
-    face counts add, and each level's boundary rows are W's rows plus
-    the new faces' rows.  Inserting rows into an XOR basis of the span
-    of W's rows gives a basis of the span of all of them, so a level's
+    The walk reads only faces of d or more vertices.  Every set of
+    fewer than d vertices is a face, so for |W| = m >= 1 the complex on
+    W holds the full (d-2)-skeleton of the simplex on W.  Below degree
+    d - 2 its cycles and boundaries are the simplex's, so over every
+    field its reduced homology there is 0.  In degree d - 2 its cycles
+    are the simplex's, the boundaries of its size-d chains, a space of
+    dimension C(m-1, d-1); so H~_{d-2} = C(m-1, d-1) - r, with r the
+    rank of W's size-d boundary rows.  For d = 1 this reads
+    H~_{-1} = 1 - r.  The one exception is W = {} (m = 0), whose H~_{-1}
+    is 1 for every d.  It books nothing, and each child sets its rank in
+    degree d - 2 by the formula, so the walk starts it at all zeros.
+
+    The faces of size >= d inside W + u that are not inside W are
+    exactly those of the full complex whose largest vertex is u and
+    that lie in W + u: such a face contains u, so it is not inside W,
+    and a face inside W + u that contains u has u as its largest
+    vertex.  So each level's boundary rows are W's rows plus the new
+    faces' rows.  Inserting rows into an XOR basis of the span of W's
+    rows gives a basis of the span of all of them, so a level's
     boundary rank is the size of its extended basis.  A level's basis
     is copied only when a new row is reduced against it.  The columns
     keep _gf2_rows's numbering on the full complex, which changes no
     rank.
 
     The new faces are added in increasing mask order, which puts every
-    face after its facets, so the faces added so far always form a
-    complex, whose ranks are kept current.  A new size-k face's
-    boundary is a cycle; when the complex so far has no homology in
-    that degree, the cycle already bounds, so the face's row lies in
-    the span of its level.  It then raises the homology one degree up
-    and is not reduced at all.
+    face after its facets, so the faces added so far, with the
+    skeleton, always form a complex, whose ranks are kept current.  A
+    new size-k face's boundary is a cycle; when the complex so far has
+    no homology in that degree, the cycle already bounds, so the face's
+    row lies in the span of its level.  It then raises the homology one
+    degree up and is not reduced at all.
+
+    For k = d the count overstates: it holds the whole skeleton through
+    u at once.  A walk over every face adds the skeleton faces S + u
+    (S in W, |S| <= d - 2) among the new faces in mask order, so that
+    F = G + u comes after S + u exactly when S's mask is below G's.
+    Take w0 = min W.  On the faces through u, a dependency among rows
+    of the same size is one among the boundaries of the S.  Conversely,
+    sets S whose boundaries sum to 0 form a cycle of sets of at most
+    d - 2 vertices; it bounds in W's complex, which holds every set of
+    up to d - 1 vertices of W, and the rows of the S + u sum to it.  So
+    S + u's row depends on the rows before it exactly when S's boundary
+    depends on those of the sets before S.  In mask
+    order that holds exactly when w0 is not in S: the boundaries of the
+    sets through w0 are independent, each the only one holding S - w0,
+    and any other S's boundary is the sum of those of the sets
+    S - a + w0 for a in S, which come before it (S = {} has boundary
+    0).  So the faces S + u with |S| = d - 2 and w0 not in S each raise
+    H~_{d-2} by one, and no other skeleton face moves it.  Just before F
+    that walk's count is the sweep's count minus those S whose mask is
+    above G's, which include the C(m-1, d-2) - C(j-1, d-2) with
+    max S > max G, where j counts the vertices of W up to max G.  When
+    the sweep's count is no more than that, that walk has no homology
+    in degree d - 2 at F, so F's row lies in the span of the rows
+    before it, which are the same rows in both walks.  For d = 3 the
+    bound is exact; for d >= 4 some faces are reduced that the other
+    walk skips, which is always sound.  For d <= 2 no S is left out.
 
     Descendants of W add only vertices above max W, so each walk entry
     carries just the faces a descendant can still add: those whose
@@ -313,53 +342,73 @@ def hochster_betti(clutter: Clutter, max_n: int | None = None) -> GradedBettiTab
     drops the faces through u, which W + u' and its descendants skip.
 
     Each subset's reduced homology, certified over Q as in
-    reduced_homology_ranks, books rank H~_{|W|-i-2} into entry (i, |W|).
-    The sweep's ranks are that function's GF(2) ranks, so a subset whose
-    certificate fails goes straight to its Bareiss fallback, on the
-    subset's own complex.  The complete clutter yields an empty table
-    (zero ideal).
+    reduced_homology_ranks, books rank H~_{|W|-i-2} into entry (i, |W|):
+    the walk files the ranks by |W| and sums them at the end.  The
+    sweep's ranks are that function's GF(2) ranks, so a subset whose
+    certificate fails goes straight to its Bareiss fallback, on the full
+    complex's levels cut down to the subset.  The complete clutter
+    yields an empty table (zero ideal).
     """
     check_cap("hochster_betti", clutter.n, HOCHSTER_DEFAULT, max_n)
-    n = clutter.n
-    table: dict[tuple[int, int], int] = {}
-    full = clique_complex_faces(clutter, range(1, n + 1), max_n=n)
-    rows = _gf2_rows(full.by_size)
-    # An entry is a subset's mask, its parent's homology ranks (indexed as
+    n, d = clutter.n, clutter.d
+    full = faces or clique_complex_faces(clutter, range(1, n + 1), n)
+    rows = _gf2_rows(full.by_size[d - 1:])
+    depth = max(len(full.by_size), d + 1)  # so basis d and rank d - 1 exist
+    # spans[m] = C(m-1, d-1), H~_{d-2} of the (d-2)-skeleton on m vertices;
+    # lags[m] = C(m-1, d-2), the lag's terms for k = d (0 for d <= 2)
+    spans = [0] + [comb(m - 1, d - 1) for m in range(1, n + 1)]
+    lags = [0] + [comb(m - 1, d - 2) if d > 2 else 0 for m in range(1, n + 1)]
+    books = [[] for _ in range(n + 1)]  # each subset's nonzero ranks, by size
+    # An entry is a parent's mask, its homology ranks (indexed as
     # reduced_homology_ranks returns them) and bases (basis k spans the rows
-    # of the size-k faces), its new faces and the faces its descendants may
-    # still add, both in increasing mask order.
-    depth = len(full.by_size)
-    stack = [(0, [1] + [0] * (depth - 1), [{}] * depth, [], sorted(rows))]
+    # of the size-k faces), and the faces its descendants may still add, in
+    # increasing mask order.
+    stack = [(0, [0] * depth, [{}] * depth, sorted(rows))]
     while stack:
-        w, ranks, bases, new, later = stack.pop()
-        ranks = ranks[:]
-        grown = bases[:]
-        for fmask in new:
-            k = fmask.bit_count()
-            if ranks[k - 1]:
-                if grown[k] is bases[k]:
-                    grown[k] = dict(bases[k])
-                if _gf2_insert(grown[k], rows[fmask]):
-                    ranks[k - 1] -= 1
-                    continue
-            ranks[k] += 1
-        bases = grown
-        booked = ranks
-        if len(ranks) - ranks.count(0) > 1:
-            booked = _rational_ranks(clique_complex_faces(clutter, verts_of(w), max_n=n))
-        size = w.bit_count()
-        # dim k = k_plus_1 - 1 books into i = size - k_plus_1 - 1 >= 0
-        for k_plus_1, rank in enumerate(booked[:size]):
-            if rank:
-                key = (size - k_plus_1 - 1, size)
-                table[key] = table.get(key, 0) + rank
+        w, ranks, bases, later = stack.pop()
+        m = w.bit_count()
+        # each W + u's rank in degree d - 2 before its own faces
+        span, lag, book = spans[m + 1] - len(bases[d]), lags[m], books[m + 1].append
         for u in range(w.bit_length() + 1, n + 1):
             ubit = 1 << (u - 1)
             cut = bisect_left(later, ubit << 1)  # the faces with largest vertex u
-            stack.append((w | ubit, ranks, bases, later[:cut], later[cut:]))
-            later = [m for m in later[cut:] if not m & ubit]
-    entries = tuple(sorted(table.items()))
-    return GradedBettiTable(n, clutter.d, entries)
+            # a child with no new faces shares its parent's list of bases;
+            # writes go to a copy, and a basis is copied before it grows
+            grown_ranks, grown = ranks[:], bases[:] if cut else bases
+            grown_ranks[d - 1] = span
+            for fmask in later[:cut]:
+                k = fmask.bit_count()
+                r = grown_ranks[k - 1]
+                # for k = d, reduce when r > lag - lags[j], with j counting the
+                # vertices of W up to max(fmask - u): m less those above it
+                if r and (r > lag or k != d or r + lags[
+                        m - (w >> (fmask ^ ubit).bit_length()).bit_count()] > lag):
+                    if grown[k] is bases[k]:
+                        grown[k] = dict(bases[k])
+                    basis, row = grown[k], rows[fmask]
+                    while row and (top := row.bit_length()) in basis:
+                        row ^= basis[top]
+                    if row:
+                        basis[top] = row
+                        grown_ranks[k - 1] -= 1
+                        continue
+                grown_ranks[k] += 1
+            nonzero = depth - grown_ranks.count(0)
+            if nonzero > 1:
+                child = w | ubit  # its levels end at the first that has none inside it
+                levels = takewhile(bool, (tuple([f for f in level if f | child == child])
+                                          for level in full.by_size))
+                book(_homology_ranks(list(levels), _boundary_rank))
+            elif nonzero:
+                book(grown_ranks)
+            later = later[cut:]
+            if u < n:
+                stack.append((w | ubit, grown_ranks, grown, later))
+            if later:
+                later = [f for f in later if not f & ubit]
+    table = {(m - k - 1, m): value for m, booked in enumerate(books)
+             for k, value in enumerate(map(sum, zip_longest(*booked, fillvalue=0))) if value}
+    return GradedBettiTable(n, d, tuple(sorted(table.items())))
 
 
 def has_linear_resolution(clutter: Clutter, max_n: int | None = None) -> bool:

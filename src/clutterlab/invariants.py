@@ -28,7 +28,7 @@ from math import comb
 
 from .clutter import Clutter, verts_of  # noqa: F401  perfbench/tracing.py patches this name here
 from .guards import F_VECTOR_DEFAULT, check_cap
-from .homology import clique_complex_faces
+from .homology import FaceList, clique_complex_faces
 from .polynomials import binom
 
 FVector = tuple[int, ...]
@@ -78,15 +78,18 @@ def f_vector_from_multiset(n: int, d: int,
     return tuple(f)
 
 
-def f_vector_direct(clutter: Clutter, max_n: int | None = None) -> FVector:
+def f_vector_direct(clutter: Clutter, max_n: int | None = None,
+                    faces: FaceList | None = None) -> FVector:
     """Brute-force f-vector: the level sizes of the clique complex.
 
     Independent of the multiset formula: only the clique definition is
-    used, through homology.clique_complex_faces.  Guarded by the oracle
-    cap since the face count is exponential in the worst case.
+    used, through homology.clique_complex_faces.  `faces` may pass in
+    the clutter's clique complex on all of [n], as `invariants --verify`
+    builds it once for both oracles.  Guarded by the oracle cap since
+    the face count is exponential in the worst case.
     """
     check_cap("f_vector_direct", clutter.n, F_VECTOR_DEFAULT, max_n)
-    faces = clique_complex_faces(clutter, range(1, clutter.n + 1), max_n=clutter.n)
+    faces = faces or clique_complex_faces(clutter, range(1, clutter.n + 1), max_n=clutter.n)
     return tuple(len(level) for level in faces.by_size)
 
 

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from clutterlab import cli
+from clutterlab import cli, homology, invariants
 from clutterlab.cli import main
 
 EX_TEXT = "5 3\n1 2 3\n1 2 4\n1 3 4\n2 3 4\n1 4 5\n"
@@ -213,8 +213,39 @@ def test_invariants_verify_above_both_caps_is_quick(tmp_path, capsys, monkeypatc
     assert code == 0 and "hochster_betti oracle capped" in json.loads(out)["verify"]["skipped"]
 
 
+def test_invariants_verify_builds_one_complex(ex_file, capsys, monkeypatch):
+    # Both oracles read the complex that cmd_invariants builds; neither
+    # builds its own.
+    built = []
+
+    def counted(grow):
+        def faces(*args, **kwargs):
+            built.append(args[1])
+            return grow(*args, **kwargs)
+        return faces
+    for owner in (cli, homology, invariants):
+        monkeypatch.setattr(owner, "clique_complex_faces", counted(owner.clique_complex_faces))
+    code, out, _ = run(capsys, "invariants", ex_file, "--verify", "--json")
+    assert code == 0 and json.loads(out)["verify"]["agreement"] is True
+    assert [list(w) for w in built] == [[1, 2, 3, 4, 5]]
+
+
+def test_invariants_verify_caps_before_building(tmp_path, capsys, monkeypatch):
+    # Above Hochster's cap nothing is enumerated, and the skip text is
+    # the oracle's own.
+    monkeypatch.setenv("CLUTTERLAB_MAX_N", "4")
+    monkeypatch.setattr(cli, "clique_complex_faces", None)  # a call would raise
+    p = tmp_path / "ex.txt"
+    p.write_text(EX_TEXT)
+    code, out, err = run(capsys, "invariants", str(p), "--verify", "--json")
+    skipped = ("hochster_betti oracle capped at 4 vertices, got 5; "
+               "set CLUTTERLAB_MAX_N or pass max_n to raise the cap")
+    assert code == 0 and json.loads(out)["verify"] == {"skipped": skipped}
+    assert err == f"verify skipped: {skipped}\n"
+
+
 @pytest.mark.parametrize("name, wrong", [
-    ("f_vector_direct", lambda clutter: (1, 5, 10, 5, 2)),
+    ("f_vector_direct", lambda clutter, faces: (1, 5, 10, 5, 2)),
     ("betti_from_multiset", lambda n, d, ms: (5, 6, 3)),
 ])
 def test_invariants_verify_mismatch(ex_file, capsys, monkeypatch, name, wrong):

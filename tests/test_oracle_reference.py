@@ -4,7 +4,10 @@ The reference functions below are the earlier implementations, copied
 unchanged apart from their names: the Hochster sweep that regrew and
 sorted the faces of every vertex subset, the face grower it called,
 the later walk that narrowed each subset's faces from its parent's and
-ranked them afresh,
+ranked them afresh, the upward sweep after it, which read every face
+including the (d-2)-skeleton and pushed every child (with the XOR-basis
+insertion it called; its Bareiss fallback regrows the subset's complex
+and ranks it as the deleted _rational_ranks did),
 the rational homology it ranked with (fraction-free Bareiss
 elimination, with the cone-vertex test that skipped cones), the
 private clique-growing loop of f_vector_direct, and the direct
@@ -23,6 +26,7 @@ from __future__ import annotations
 import itertools
 import random
 import sys
+from bisect import bisect_left
 from collections import Counter
 from collections.abc import Iterable
 from itertools import combinations
@@ -35,6 +39,7 @@ from clutterlab import (
     betti_from_multiset,
     clique_complex_faces,
     clutter_from_masks,
+    complete_clutter,
     f_vector_direct,
     h_vector_from_multiset,
     hochster_betti,
@@ -42,7 +47,7 @@ from clutterlab import (
     random_chordal_clutter,
     reduced_homology_ranks,
 )
-from clutterlab import homology
+from clutterlab import homology, invariants
 from clutterlab.clutter import Clutter, Vertices, mask_of, verts_of
 from clutterlab.guards import F_VECTOR_DEFAULT, FACES_DEFAULT, HOCHSTER_DEFAULT, check_cap
 from clutterlab.homology import FaceList, GradedBettiTable
@@ -250,6 +255,81 @@ def ref_walk_hochster_betti(clutter: Clutter, max_n: int | None = None) -> Grade
                 key = (size - k_plus_1 - 1, size)
                 table[key] = table.get(key, 0) + rank
         stack.extend((w, levels, u) for u in w if u > v)
+    entries = tuple(sorted(table.items()))
+    return GradedBettiTable(n, clutter.d, entries)
+
+
+def ref_gf2_insert(basis: dict[int, int], row: int) -> bool:
+    """Add a row to an XOR basis that keys each row by its top bit.
+
+    The row is reduced by the basis row with its top bit until it
+    vanishes or brings a new top bit, which it is then filed under.
+    Returns whether it was independent of the basis, and so added.
+    """
+    while row:
+        top = row.bit_length()
+        if top not in basis:
+            basis[top] = row
+            return True
+        row ^= basis[top]
+    return False
+
+
+def ref_upward_hochster_betti(clutter: Clutter, max_n: int | None = None) -> GradedBettiTable:
+    """Graded Betti numbers of the circuit ideal by subset decomposition.
+
+    Builds the clique complex on all n vertices and its GF(2) boundary
+    rows once, then walks the vertex subsets upward from the empty set:
+    W + u is visited from W only for u > max W, so each nonempty subset
+    is reached exactly once, from itself minus its largest vertex.  Each
+    subset extends its parent's ranks and XOR bases by the rows of every
+    face whose largest vertex is u, vertices included, in increasing
+    mask order; a face whose boundary already bounds is not reduced.
+    Each subset's reduced homology, certified over Q, books rank
+    H~_{|W|-i-2} into entry (i, |W|); a subset whose certificate fails
+    regrows its own complex for Bareiss.  The complete clutter yields an
+    empty table (zero ideal).
+    """
+    check_cap("hochster_betti", clutter.n, HOCHSTER_DEFAULT, max_n)
+    n = clutter.n
+    table: dict[tuple[int, int], int] = {}
+    full = clique_complex_faces(clutter, range(1, n + 1), max_n=n)
+    rows = homology._gf2_rows(full.by_size)
+    # An entry is a subset's mask, its parent's homology ranks (indexed as
+    # reduced_homology_ranks returns them) and bases (basis k spans the rows
+    # of the size-k faces), its new faces and the faces its descendants may
+    # still add, both in increasing mask order.
+    depth = len(full.by_size)
+    stack = [(0, [1] + [0] * (depth - 1), [{}] * depth, [], sorted(rows))]
+    while stack:
+        w, ranks, bases, new, later = stack.pop()
+        ranks = ranks[:]
+        grown = bases[:]
+        for fmask in new:
+            k = fmask.bit_count()
+            if ranks[k - 1]:
+                if grown[k] is bases[k]:
+                    grown[k] = dict(bases[k])
+                if ref_gf2_insert(grown[k], rows[fmask]):
+                    ranks[k - 1] -= 1
+                    continue
+            ranks[k] += 1
+        bases = grown
+        booked = ranks
+        if len(ranks) - ranks.count(0) > 1:
+            sub = clique_complex_faces(clutter, verts_of(w), max_n=n)
+            booked = homology._homology_ranks(sub.by_size, homology._boundary_rank)
+        size = w.bit_count()
+        # dim k = k_plus_1 - 1 books into i = size - k_plus_1 - 1 >= 0
+        for k_plus_1, rank in enumerate(booked[:size]):
+            if rank:
+                key = (size - k_plus_1 - 1, size)
+                table[key] = table.get(key, 0) + rank
+        for u in range(w.bit_length() + 1, n + 1):
+            ubit = 1 << (u - 1)
+            cut = bisect_left(later, ubit << 1)  # the faces with largest vertex u
+            stack.append((w | ubit, ranks, bases, later[:cut], later[cut:]))
+            later = [m for m in later[cut:] if not m & ubit]
     entries = tuple(sorted(table.items()))
     return GradedBettiTable(n, clutter.d, entries)
 
@@ -546,6 +626,109 @@ def test_no_fallback_on_the_benchmark_verify_inputs(monkeypatch, tmp_path):
     for job in jobs:
         assert hochster_betti(make_clutter(job.n, job.d, job.circuits)).is_linear()
     assert bareiss.calls == 0
+
+
+def test_skeleton_free_sweep_agrees_on_every_clutter_up_to_5_vertices():
+    # Every d from 1 to n, so the empty clutter (no circuits), the
+    # complete one, d = 1 (whose skeleton is the empty face alone) and
+    # d = n (a single possible circuit) are all in.
+    checked = 0
+    for n in range(1, 6):
+        for d in range(1, n + 1):
+            for c in all_clutters(n, d):
+                assert hochster_betti(c) == ref_upward_hochster_betti(c), c
+                checked += 1
+    assert checked == sum(2 ** comb(n, d) for n in range(1, 6) for d in range(1, n + 1))
+
+
+def test_skeleton_free_sweep_agrees_on_seeded_clutters():
+    rng = random.Random(23)
+    for k in range(96):
+        n, d = 6 + k % 4, 2 + k // 4 % 3
+        if k % 2:
+            c = random_chordal_clutter(n, d, steps=rng.randint(1, 3 * n), rng=rng)
+        else:
+            c = random_clutter(n, d, rng.choice((0.2, 0.4, 0.6, 0.8, 0.95)), rng)
+        assert hochster_betti(c) == ref_upward_hochster_betti(c), c
+
+
+def test_skeleton_free_sweep_agrees_on_complete_clutters():
+    # Dense inputs: every subset's complex is a simplex, and the sweep's
+    # "already bounds" rule decides most size-d faces of d >= 3 without
+    # reducing them.
+    for n in range(1, 10):
+        for d in range(1, n + 1):
+            c = complete_clutter(n, d)
+            assert hochster_betti(c) == ref_upward_hochster_betti(c), c
+
+
+class CountedRows(dict):
+    """GF(2) rows that count how many are looked up, i.e. reduced."""
+
+    lookups = 0
+
+    def __getitem__(self, key):
+        CountedRows.lookups += 1
+        return super().__getitem__(key)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_sweep_reduces_only_independent_rows_on_complete_clutters(monkeypatch, d):
+    # For d <= 3 the "already bounds" test at k = d is exact, so on the
+    # simplex every row the sweep reduces is independent.  The boundary
+    # maps of size >= d of the simplex on s vertices have total rank
+    # R(s) = sum_k C(s-1, k-1), and each subset adds R(|W|) - R(|W| - 1).
+    rows = homology._gf2_rows
+    monkeypatch.setattr(homology, "_gf2_rows", lambda by_size: CountedRows(rows(by_size)))
+    n = 9
+
+    def rank(s):
+        return sum(comb(s - 1, k - 1) for k in range(d, s + 1)) if s else 0
+    CountedRows.lookups = 0
+    assert hochster_betti(complete_clutter(n, d)).entries == ()
+    assert CountedRows.lookups == sum(comb(n, s) * (rank(s) - rank(s - 1))
+                                      for s in range(1, n + 1))
+
+
+def test_skeleton_free_sweep_agrees_on_the_benchmark_verify_inputs(tmp_path):
+    root = str(Path(__file__).resolve().parents[1])
+    sys.path.insert(0, root)
+    try:
+        from perfbench.workloads import build
+    finally:
+        sys.path.remove(root)
+    jobs = build("verify_invariants", 1, tmp_path).jobs
+    assert len(jobs) == 100
+    for job in jobs:
+        c = make_clutter(job.n, job.d, job.circuits)
+        assert hochster_betti(c) == ref_upward_hochster_betti(c), c
+
+
+def test_sweep_builds_one_complex_and_filters_it_for_bareiss(monkeypatch):
+    faces = CountCalls(homology.clique_complex_faces)
+    monkeypatch.setattr(homology, "clique_complex_faces", faces)
+    assert hochster_betti(RP2) == ref_hochster_betti(RP2)
+    assert faces.calls == 1  # the fallback subsets reuse the full complex
+
+
+def test_sweep_reads_a_complex_passed_in(monkeypatch):
+    full = clique_complex_faces(RP2, range(1, 7))
+    faces = CountCalls(homology.clique_complex_faces)
+    monkeypatch.setattr(homology, "clique_complex_faces", faces)
+    monkeypatch.setattr(invariants, "clique_complex_faces", faces)
+    assert hochster_betti(RP2, faces=full) == ref_hochster_betti(RP2)
+    assert f_vector_direct(RP2, faces=full) == ref_f_vector_direct(RP2)
+    assert faces.calls == 0
+
+
+def test_bareiss_agrees_on_random_integer_matrices():
+    rng = random.Random(29)
+    for _ in range(3000):
+        rows, cols = rng.randint(0, 6), rng.randint(1, 6)
+        spread = rng.choice((1, 2, 5))
+        mat = [[rng.randint(-spread, spread) if rng.random() < 0.6 else 0
+                for _ in range(cols)] for _ in range(rows)]
+        assert homology.integer_matrix_rank(mat) == ref_integer_matrix_rank(mat), mat
 
 
 def outcome(fn, *args):
