@@ -11,15 +11,30 @@ computing.
 
 Every search here reads its candidates off one mutable deletion state,
 _DeletionState: the live circuit set, the neighborhood map e -> N(e),
-the set of simplicial elements, and a lexicographic rank per element
-fixed once from the start clutter (deletions only remove circuits, so
-no element appears later that was not there at the start).  The
-simplicial set is a bit mask over those ranks, so the lex-first
-candidate is its lowest bit, and a state's next untried candidate is
-its lowest bit above the rank last tried; no state sorts its
-candidates.  Deleting e updates the state in place and records what
-changed, so the deletion can be undone; the update rule and its
-soundness are below.
+the simplicial flags, and a lexicographic rank per element fixed once
+from the start clutter (deletions only remove circuits, so no element
+appears later that was not there at the start).  The flags are a bit
+mask over those ranks, kept lazily under one invariant: below a
+frontier rank every flag is exact, and from the frontier up there is
+none.  Building the state runs no clique test; its frontier is 0.
+
+* Greedy's pick is lex-first.  When a flag is set, every rank below the
+  lowest one lies below the frontier and is exactly unflagged, so the
+  lowest flag is the lex-first simplicial element.  When none is set,
+  every rank below the frontier is not simplicial, so greedy tests
+  upward from the frontier, skipping emptied elements without a test,
+  and the first element that passes is the lex-first one; the frontier
+  moves just above it.  An element emptied by other deletions before
+  the frontier reaches it is never tested.
+* Settling tests every rank from the frontier up, which makes every
+  flag exact.  The driver, candidates() and simplicial_elements settle
+  first.  A deletion keeps the frontier where it is, and an undo
+  restores the frontier of its deletion, so the driver deletes only in
+  settled states: a state's next untried candidate is its lowest flag
+  above the rank last tried, and no state sorts its candidates.
+
+Deleting e updates the state in place and records what changed, so the
+deletion can be undone; the update rule and its soundness are below.
 replay_order does not use the state: it certifies a witness by
 recomputing every step from the circuits alone.
 
@@ -127,15 +142,28 @@ when greedy completes.
   expand one state per greedy step in it and yield those steps: it is
   charged them, and they are its witness.  Every other component runs
   the driver on a slice of the state: its circuits and its part of the
-  map, the global ranks, and the simplicial mask restricted to its
-  ranks.  By the component bullet, its elements are simplicial in the
-  whole input exactly when they are in the component alone, so the
-  slice is the state a build on the component alone would make,
-  numbered in the same rank order, and the driver does on it what it
-  would do on that state.  The components are taken in the order of
-  their lex-first circuits, as a search run once per component takes
-  them, so the charges add up in the same order.  The first component
-  whose driver fails answers None.  Otherwise the witnesses are merged
+  map, the global ranks, and flags restricted to its ranks below a
+  frontier.  By the component bullet, its elements are simplicial in
+  the whole input exactly when they are in the component alone, so the
+  settled slice is the state a build on the component alone would
+  make, numbered in the same rank order, and the driver does on it
+  what it would do on that state.  No element is tested twice where one
+  test would do.  A component in which greedy took no step keeps its
+  start circuits and map in the stuck state, because deletions in other
+  components never touch it, so its flags there are its start flags:
+  its slice takes the stuck state's flags below the stuck state's
+  frontier and tests nothing again.  A run that got stuck has settled
+  its state on the way (its last upward test passed no rank), so that
+  is every flag; a run cut short by the budget leaves the rest of the
+  component to the slice's own settling.  A component greedy stepped in
+  takes the start state's flags, exact below the frontier greedy's
+  first deletion left, and settles itself, testing only its own
+  elements.  Settling the whole start state after the undo instead would
+  test every element from that frontier up once more, in the emptied
+  components and the stuck ones alike.  The components are taken in the
+  order of their lex-first circuits, as a search run once per component
+  takes them, so the charges add up in the same order.  The first
+  component whose driver fails answers None.  Otherwise the witnesses are merged
   by global rank, which is lex order.  A prefix of greedy's run that
   empties a component holds that component's whole greedy run, so the
   rule does not need greedy to have got stuck.
@@ -193,7 +221,11 @@ for the closed ones.
 * Non-cliques stay non-cliques unless their neighborhood shrank.  If
   N'(f) = N(f) and N[f] was not a clique in C, some d-subset of N[f] is
   missing from C; it is missing from C', a subset of C, as well.  A
-  non-simplicial f whose neighborhood shrank gets a fresh clique test.
+  non-simplicial f whose neighborhood shrank gets a fresh clique test
+  if its rank is below the frontier.  From the frontier up f has no
+  flag to keep, and it is tested when the frontier reaches it.  The
+  other rules below only clear flags, so the lazy invariant holds after
+  every deletion, with the frontier where it was.
 * Cliques: one bit test.  If N[f] was a clique in C, every d-subset of
   N'[f], a subset of N[f], was a circuit of C, and the only circuits C'
   lacks are the removed ones.  So N'[f] is a clique in C' exactly when
@@ -237,13 +269,24 @@ for the closed ones.
   nbrs.get(g, 0), and a present 0 and an absent entry both read as
   "no neighbors", which is what C' says.
 
-An undo restores the removed circuits (again read off N(e)), the saved
-old neighborhoods and the simplicial flags the deletion flipped.
+Why an undo is exact below its frontier.  An undo restores the removed
+circuits (again read off N(e)) and the saved old neighborhoods, and
+flips back the flags the deletion flipped, all of them below the
+frontier F the deletion ran at, which its record carries.  When the
+deletion is undone, the state is again the one the deletion left, with
+its flags exact below some frontier at or above F (later steps only
+move it up, and later undos restore theirs).  Below F the exact flags
+of that state are what the deletion computed, so flipping back gives
+the flags from before the deletion.  From F up, the flags were tested
+in states that no longer exist, so undo clears them and restores F.
+The driver deletes only in settled states, whose frontier is past
+every rank, so for the driver that mask clears nothing.
 """
 
 from __future__ import annotations
 
 import heapq
+from bisect import bisect_left
 from collections import Counter
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
@@ -332,29 +375,37 @@ def _circuits_through(e: int, nbr: int) -> list[int]:
 
 
 class _DeletionState:
-    """Circuits, neighborhoods and simplicial elements under deletion.
+    """Circuits, neighborhoods and simplicial flags under deletion.
 
     delete(e) removes every circuit containing e, for a simplicial e (the
     only kind any search deletes), and updates the neighborhood map and
-    the simplicial set by the rule in the module docstring; undo()
-    reverts the latest deletion not yet undone.  Elements are numbered
-    by lex rank (by_rank lists them, rank maps back), and simplicial is
-    the bit mask of the simplicial ones' ranks, so its lowest bit is the
-    lex-first candidate.
+    the flags by the rule in the module docstring; undo() reverts the
+    latest deletion not yet undone.  Elements are numbered by lex rank
+    (by_rank lists them, rank maps back), and flags is a bit mask over
+    those ranks.  Flags are exact below the frontier rank and absent from
+    it up: no clique test runs until settle() asks for one.
+    simplicial is the exact mask, settled first; scope lists the elements
+    settle() may test, in rank order.
     """
 
-    __slots__ = ("d", "circuits", "nbrs", "rank", "by_rank", "simplicial", "_undo")
+    __slots__ = ("d", "circuits", "nbrs", "rank", "by_rank", "scope", "flags",
+                 "frontier", "_undo")
 
     def __init__(self, circuits: frozenset[int], d: int):
         self.d = d
         self.circuits = set(circuits)
         self.nbrs = nbrs = neighborhood_map(circuits)
-        self.by_rank = sorted(nbrs, key=verts_of)
+        self.by_rank = self.scope = sorted(nbrs, key=verts_of)
         self.rank = {e: r for r, e in enumerate(self.by_rank)}
-        self.simplicial = sum(1 << r for r, e in enumerate(self.by_rank)
-                              if self._closed_is_clique(e, nbrs[e]))
-        # Per deletion: (e, N(e), old N(f) of every shrunk f, flipped flags).
-        self._undo: list[tuple[int, int, dict[int, int], int]] = []
+        self.flags = self.frontier = 0
+        # Per deletion: (e, N(e), old N(f) of every shrunk f, flipped
+        # flags, the frontier).
+        self._undo: list[tuple[int, int, dict[int, int], int, int]] = []
+
+    @property
+    def simplicial(self) -> int:
+        """The bit mask of the simplicial elements' ranks."""
+        return self.settle()
 
     def candidates(self) -> list[int]:
         """The simplicial element masks, lex sorted by vertex tuple.
@@ -362,6 +413,26 @@ class _DeletionState:
         verts_of lists the positions of simplicial's bits, 1-based.
         """
         return [self.by_rank[i - 1] for i in verts_of(self.simplicial)]
+
+    def settle(self, first: bool = False) -> int:
+        """Clique-test the elements of scope from the frontier up; return flags.
+
+        Every flag is exact afterwards.  With first set, the tests stop at
+        the first element that passes, and the frontier just above it.
+        Emptied elements are skipped without a test.
+        """
+        rank, nbrs, scope = self.rank, self.nbrs, self.scope
+        for i in range(bisect_left(scope, self.frontier, key=rank.__getitem__),
+                       len(scope)):
+            f = scope[i]
+            nbr = nbrs.get(f)
+            if nbr and self._closed_is_clique(f, nbr):
+                self.flags |= 1 << rank[f]
+                if first:
+                    self.frontier = rank[f] + 1
+                    return self.flags
+        self.frontier = len(rank)
+        return self.flags
 
     def _closed_is_clique(self, f: int, nbr: int) -> bool:
         """Whether N[f] = f + nbr is a clique, read off the neighborhood map."""
@@ -397,15 +468,15 @@ class _DeletionState:
                     old[f] = nbrs[f]
                 nbrs[f] ^= low
                 rest ^= low
-        simplicial = self.simplicial
+        flags, frontier = self.flags, self.frontier
         flipped = 0
         for f in old:
             nbr = nbrs[f]
             bit = 1 << rank[f]
             if not nbr:
                 del nbrs[f]
-                flipped |= simplicial & bit
-            elif not simplicial & bit and self._closed_is_clique(f, nbr):
+                flipped |= flags & bit
+            elif not flags & bit and rank[f] < frontier and self._closed_is_clique(f, nbr):
                 flipped |= bit
         if self.d > 2 and gone & (gone - 1):
             # The (d-1)-subsets of the clique N[e] with two or more
@@ -413,28 +484,32 @@ class _DeletionState:
             # a circuit of N[e], so it has a rank.
             for f in map(sum, combinations(_circuits_through(0, e | gone), self.d - 1)):
                 if (f & gone).bit_count() > 1:
-                    flipped |= simplicial & 1 << rank[f]
-        self.simplicial ^= flipped
-        self._undo.append((e, gone, old, flipped))
+                    flipped |= flags & 1 << rank[f]
+        self.flags ^= flipped
+        self._undo.append((e, gone, old, flipped, frontier))
 
     def undo(self) -> None:
-        e, gone, old, flipped = self._undo.pop()
+        e, gone, old, flipped, frontier = self._undo.pop()
         self.circuits.update(_circuits_through(e, gone))
         self.nbrs.update(old)
-        self.simplicial ^= flipped
+        self.flags = (self.flags ^ flipped) & ~(-1 << frontier)
+        self.frontier = frontier
 
     def sliced(self, circuits: set[int], nbrs: dict[int, int],
                ranks: int) -> _DeletionState:
         """The state of one (d-1)-component, as _components lists it.
 
         The slice owns its circuits and map, and shares the ranks, so its
-        simplicial mask is this state's masked to the component's ranks:
-        no clique test runs again.
+        flags are this state's masked to the component's ranks, below the
+        same frontier: no clique test runs again, and settling the slice
+        tests only its own elements.  find_simplicial_order may set its
+        flags and frontier from another state of the same component.
         """
         part = object.__new__(type(self))
         part.d, part.rank, part.by_rank = self.d, self.rank, self.by_rank
         part.circuits, part.nbrs = circuits, nbrs
-        part.simplicial = self.simplicial & ranks
+        part.scope = sorted(nbrs, key=self.rank.__getitem__)
+        part.flags, part.frontier = self.flags & ranks, self.frontier
         part._undo = []
         return part
 
@@ -463,6 +538,7 @@ def _deletion_sequences(live: _DeletionState, target: frozenset[int],
     Python's recursion limit.  A run that is drained leaves live at its
     start.
     """
+    live.settle()
     protected = neighborhood_map(target)
     # Failed states by circuit count; a child's key is built only when
     # some failed state has its size.
@@ -473,7 +549,8 @@ def _deletion_sequences(live: _DeletionState, target: frozenset[int],
     # before the state was entered].  steps[i] is the (element,
     # neighborhood) step taken out of path[i]; live holds the state after
     # every step, and after backing up it is path[-1]'s state again, so
-    # its untried candidates are live.simplicial's bits from that rank up.
+    # its untried candidates are live.flags's bits from that rank up.  The
+    # driver deletes only in this settled state, so every flag is exact.
     path: list[list[int]] = []
     steps: list[tuple[int, int]] = []
     while True:
@@ -490,7 +567,7 @@ def _deletion_sequences(live: _DeletionState, target: frozenset[int],
         # deletion leaves a state not known to fail; take it.
         while path:
             here = path[-1]
-            untried = live.simplicial >> here[0] << here[0]
+            untried = live.flags >> here[0] << here[0]
             while untried:
                 low = untried & -untried
                 untried ^= low
@@ -527,11 +604,13 @@ def _greedy(live: _DeletionState, most: int | None = None) -> list[tuple[int, in
 
     Returns the (element mask, open-neighborhood mask) steps, at most
     most of them when most is given.  The run completed when live has no
-    circuit left, and stopped short otherwise.
+    circuit left, and stopped short otherwise.  The lowest flag is the
+    lex-first simplicial element; with none set, live is tested upward
+    from its frontier until an element passes.
     """
     steps = []
-    while (simplicial := live.simplicial) and len(steps) != most:
-        e = live.by_rank[(simplicial & -simplicial).bit_length() - 1]
+    while len(steps) != most and (flags := live.flags or live.settle(first=True)):
+        e = live.by_rank[(flags & -flags).bit_length() - 1]
         steps.append((e, live.nbrs[e]))
         live.delete(e)
     return steps
@@ -602,12 +681,17 @@ def find_simplicial_order(clutter: Clutter,
     rank = live.rank
     left = sum(1 << rank[f] for f in live.nbrs)
     taken = sum(1 << rank[e] for e, _ in steps)
+    # A component greedy took no step in has the same flags where greedy
+    # stopped as at the start (see the stuck-path bullet).
+    end_flags, end_frontier = live.flags, live.frontier
     for _ in steps:
         live.undo()
     stuck, witnesses = 0, []
     for ranks, circuits, nbrs in _components(live):
         if ranks & left:
             part = live.sliced(circuits, nbrs, ranks)
+            if not ranks & taken:
+                part.flags, part.frontier = end_flags & ranks, end_frontier
             found = next(_deletion_sequences(part, frozenset(), budget), None)
             if found is None:
                 return None
@@ -645,14 +729,12 @@ def enumerate_simplicial_orders(clutter: Clutter,
     can grow factorially.  Branches that provably cannot complete are
     pruned through the same failed-state memo as the decision search.
     """
-    # Counted before the state is built, whose clique tests a refused
-    # input would pay for nothing.
-    n_sub = len(neighborhood_map(clutter.circuit_masks))
+    live = _DeletionState(clutter.mask_set(), clutter.d)
+    n_sub = len(live.by_rank)
     if n_sub > max_submaximal:
         raise ValueError(
             f"{n_sub} submaximal circuits exceed the enumeration guard "
             f"of {max_submaximal}; raise max_submaximal to proceed")
-    live = _DeletionState(clutter.mask_set(), clutter.d)
     sequences = _deletion_sequences(live, frozenset(), _StateBudget(None))
     return [_order(steps) for steps in islice(sequences, limit)]
 
