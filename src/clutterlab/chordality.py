@@ -286,7 +286,6 @@ every rank, so for the driver that mask clears nothing.
 from __future__ import annotations
 
 import heapq
-from bisect import bisect_left
 from collections import Counter
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
@@ -383,55 +382,48 @@ class _DeletionState:
     latest deletion not yet undone.  Elements are numbered by lex rank
     (by_rank lists them, rank maps back), and flags is a bit mask over
     those ranks.  Flags are exact below the frontier rank and absent from
-    it up: no clique test runs until settle() asks for one.
-    simplicial is the exact mask, settled first; scope lists the elements
-    settle() may test, in rank order.
+    it up: no clique test runs until settle() asks for one, and it tests
+    only the elements in the map.
     """
 
-    __slots__ = ("d", "circuits", "nbrs", "rank", "by_rank", "scope", "flags",
-                 "frontier", "_undo")
+    __slots__ = ("d", "circuits", "nbrs", "rank", "by_rank", "flags", "frontier", "_undo")
 
     def __init__(self, circuits: frozenset[int], d: int):
         self.d = d
         self.circuits = set(circuits)
         self.nbrs = nbrs = neighborhood_map(circuits)
-        self.by_rank = self.scope = sorted(nbrs, key=verts_of)
+        self.by_rank = sorted(nbrs, key=verts_of)
         self.rank = {e: r for r, e in enumerate(self.by_rank)}
         self.flags = self.frontier = 0
         # Per deletion: (e, N(e), old N(f) of every shrunk f, flipped
         # flags, the frontier).
         self._undo: list[tuple[int, int, dict[int, int], int, int]] = []
 
-    @property
-    def simplicial(self) -> int:
-        """The bit mask of the simplicial elements' ranks."""
-        return self.settle()
-
     def candidates(self) -> list[int]:
         """The simplicial element masks, lex sorted by vertex tuple.
 
-        verts_of lists the positions of simplicial's bits, 1-based.
+        verts_of lists the positions of the settled flags' bits, 1-based.
         """
-        return [self.by_rank[i - 1] for i in verts_of(self.simplicial)]
+        return [self.by_rank[i - 1] for i in verts_of(self.settle())]
 
     def settle(self, first: bool = False) -> int:
-        """Clique-test the elements of scope from the frontier up; return flags.
+        """Clique-test the ranks from the frontier up; return the flags.
 
         Every flag is exact afterwards.  With first set, the tests stop at
         the first element that passes, and the frontier just above it.
-        Emptied elements are skipped without a test.
+        A rank whose element is not in the map, emptied or (in a slice)
+        of another component, is skipped without a test.
         """
-        rank, nbrs, scope = self.rank, self.nbrs, self.scope
-        for i in range(bisect_left(scope, self.frontier, key=rank.__getitem__),
-                       len(scope)):
-            f = scope[i]
+        nbrs, by_rank = self.nbrs, self.by_rank
+        for r in range(self.frontier, len(by_rank)):
+            f = by_rank[r]
             nbr = nbrs.get(f)
             if nbr and self._closed_is_clique(f, nbr):
-                self.flags |= 1 << rank[f]
+                self.flags |= 1 << r
                 if first:
-                    self.frontier = rank[f] + 1
+                    self.frontier = r + 1
                     return self.flags
-        self.frontier = len(rank)
+        self.frontier = len(by_rank)
         return self.flags
 
     def _closed_is_clique(self, f: int, nbr: int) -> bool:
@@ -501,14 +493,16 @@ class _DeletionState:
 
         The slice owns its circuits and map, and shares the ranks, so its
         flags are this state's masked to the component's ranks, below the
-        same frontier: no clique test runs again, and settling the slice
-        tests only its own elements.  find_simplicial_order may set its
-        flags and frontier from another state of the same component.
+        same frontier: no clique test runs again.  Settling the slice
+        tests only its own elements, the ones in its map.  It walks every
+        rank from the frontier up once, the other components' included,
+        so each slice driven costs one pass over those ranks.
+        find_simplicial_order may set its flags and frontier from another
+        state of the same component.
         """
         part = object.__new__(type(self))
         part.d, part.rank, part.by_rank = self.d, self.rank, self.by_rank
         part.circuits, part.nbrs = circuits, nbrs
-        part.scope = sorted(nbrs, key=self.rank.__getitem__)
         part.flags, part.frontier = self.flags & ranks, self.frontier
         part._undo = []
         return part

@@ -304,36 +304,13 @@ def hochster_betti(clutter: Clutter, max_n: int | None = None,
     The new faces are added in increasing mask order, which puts every
     face after its facets, so the faces added so far, with the
     skeleton, always form a complex, whose ranks are kept current.  A
-    new size-k face's boundary is a cycle; when the complex so far has
-    no homology in that degree, the cycle already bounds, so the face's
-    row lies in the span of its level.  It then raises the homology one
-    degree up and is not reduced at all.
-
-    For k = d the count overstates: it holds the whole skeleton through
-    u at once.  A walk over every face adds the skeleton faces S + u
-    (S in W, |S| <= d - 2) among the new faces in mask order, so that
-    F = G + u comes after S + u exactly when S's mask is below G's.
-    Take w0 = min W.  On the faces through u, a dependency among rows
-    of the same size is one among the boundaries of the S.  Conversely,
-    sets S whose boundaries sum to 0 form a cycle of sets of at most
-    d - 2 vertices; it bounds in W's complex, which holds every set of
-    up to d - 1 vertices of W, and the rows of the S + u sum to it.  So
-    S + u's row depends on the rows before it exactly when S's boundary
-    depends on those of the sets before S.  In mask
-    order that holds exactly when w0 is not in S: the boundaries of the
-    sets through w0 are independent, each the only one holding S - w0,
-    and any other S's boundary is the sum of those of the sets
-    S - a + w0 for a in S, which come before it (S = {} has boundary
-    0).  So the faces S + u with |S| = d - 2 and w0 not in S each raise
-    H~_{d-2} by one, and no other skeleton face moves it.  Just before F
-    that walk's count is the sweep's count minus those S whose mask is
-    above G's, which include the C(m-1, d-2) - C(j-1, d-2) with
-    max S > max G, where j counts the vertices of W up to max G.  When
-    the sweep's count is no more than that, that walk has no homology
-    in degree d - 2 at F, so F's row lies in the span of the rows
-    before it, which are the same rows in both walks.  For d = 3 the
-    bound is exact; for d >= 4 some faces are reduced that the other
-    walk skips, which is always sound.  For d <= 2 no S is left out.
+    new size-k face's row is reduced only when that complex has
+    homology in degree k - 2, one below the face's own.  Its boundary is
+    a cycle; when the complex so far has no homology in that degree,
+    the cycle already bounds, so the row lies in the span of its level,
+    and the face raises the homology one degree up without a reduction.
+    A reduced row that turns out dependent raises the homology one
+    degree up all the same, so no rank depends on which rows are reduced.
 
     Descendants of W add only vertices above max W, so each walk entry
     carries just the faces a descendant can still add: those whose
@@ -354,10 +331,8 @@ def hochster_betti(clutter: Clutter, max_n: int | None = None,
     full = faces or clique_complex_faces(clutter, range(1, n + 1), n)
     rows = _gf2_rows(full.by_size[d - 1:])
     depth = max(len(full.by_size), d + 1)  # so basis d and rank d - 1 exist
-    # spans[m] = C(m-1, d-1), H~_{d-2} of the (d-2)-skeleton on m vertices;
-    # lags[m] = C(m-1, d-2), the lag's terms for k = d (0 for d <= 2)
+    # spans[m] = C(m-1, d-1), H~_{d-2} of the (d-2)-skeleton on m vertices
     spans = [0] + [comb(m - 1, d - 1) for m in range(1, n + 1)]
-    lags = [0] + [comb(m - 1, d - 2) if d > 2 else 0 for m in range(1, n + 1)]
     books = [[] for _ in range(n + 1)]  # each subset's nonzero ranks, by size
     # An entry is a parent's mask, its homology ranks (indexed as
     # reduced_homology_ranks returns them) and bases (basis k spans the rows
@@ -368,7 +343,7 @@ def hochster_betti(clutter: Clutter, max_n: int | None = None,
         w, ranks, bases, later = stack.pop()
         m = w.bit_count()
         # each W + u's rank in degree d - 2 before its own faces
-        span, lag, book = spans[m + 1] - len(bases[d]), lags[m], books[m + 1].append
+        span, book = spans[m + 1] - len(bases[d]), books[m + 1].append
         for u in range(w.bit_length() + 1, n + 1):
             ubit = 1 << (u - 1)
             cut = bisect_left(later, ubit << 1)  # the faces with largest vertex u
@@ -378,11 +353,7 @@ def hochster_betti(clutter: Clutter, max_n: int | None = None,
             grown_ranks[d - 1] = span
             for fmask in later[:cut]:
                 k = fmask.bit_count()
-                r = grown_ranks[k - 1]
-                # for k = d, reduce when r > lag - lags[j], with j counting the
-                # vertices of W up to max(fmask - u): m less those above it
-                if r and (r > lag or k != d or r + lags[
-                        m - (w >> (fmask ^ ubit).bit_length()).bit_count()] > lag):
+                if grown_ranks[k - 1]:
                     if grown[k] is bases[k]:
                         grown[k] = dict(bases[k])
                     basis, row = grown[k], rows[fmask]

@@ -48,7 +48,7 @@ def ref_greedy(live: chordality._DeletionState,
     steps = []
     while live.circuits:
         budget.expand()
-        simplicial = live.simplicial
+        simplicial = live.settle()
         if not simplicial:
             return None
         e = live.by_rank[(simplicial & -simplicial).bit_length() - 1]
@@ -197,8 +197,8 @@ def cut_greedy(stop: int):
     """Greedy deletion that gives up after stop steps, as if it got stuck."""
     def run(live, most=None):
         steps = []
-        while live.simplicial and len(steps) < stop and len(steps) != most:
-            e = live.by_rank[(live.simplicial & -live.simplicial).bit_length() - 1]
+        while (flags := live.settle()) and len(steps) < stop and len(steps) != most:
+            e = live.by_rank[(flags & -flags).bit_length() - 1]
             steps.append((e, live.nbrs[e]))
             live.delete(e)
         return steps

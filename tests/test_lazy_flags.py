@@ -263,10 +263,13 @@ def driver_inputs(monkeypatch):
     return seen
 
 
-def test_slices_hold_their_components_simplicial_elements(driver_inputs):
-    # Greedy stopped early by a small budget leaves an unsettled state,
-    # so components it took no step in get flags below that state's
-    # frontier and test the rest themselves; stuck runs settle.
+def decide_split_inputs() -> None:
+    """Decide split (7,3) samples and the octahedron families under small budgets.
+
+    Greedy stopped early by a small budget leaves an unsettled state,
+    so components it took no step in get flags below that state's
+    frontier and test the rest themselves; stuck runs settle.
+    """
     rng = random.Random("lazy-slices/7/3")
     clutters = [split_clutter(7, 3, rng) for _ in range(150)]
     for family in FAMILIES[2:]:
@@ -279,9 +282,39 @@ def test_slices_hold_their_components_simplicial_elements(driver_inputs):
                 find_simplicial_order(c, budget)
             except SearchLimitReached:
                 pass
+
+
+def test_slices_hold_their_components_simplicial_elements(driver_inputs):
+    decide_split_inputs()
     assert len(driver_inputs) > 100
     for simplicial, circuits, d in driver_inputs:
         assert simplicial == frozenset(EagerState(circuits, d).candidates())
+
+
+def test_slices_test_only_their_own_elements(monkeypatch):
+    # A slice shares the ranks of the whole input, so its settling walks
+    # the other components' ranks too; it must test none of them.
+    # id of each slice -> the slice, kept alive so no id is reused, and its elements
+    own: dict[int, tuple[object, frozenset[int]]] = {}
+    foreign = []
+    sliced = chordality._DeletionState.sliced
+    test = chordality._DeletionState._closed_is_clique
+
+    def recorded(self, circuits, nbrs, ranks):
+        part = sliced(self, circuits, nbrs, ranks)
+        own[id(part)] = part, frozenset(nbrs)
+        return part
+
+    def checked(self, f, nbr):
+        if id(self) in own and f not in own[id(self)][1]:
+            foreign.append(f)
+        return test(self, f, nbr)
+
+    monkeypatch.setattr(chordality._DeletionState, "sliced", recorded)
+    monkeypatch.setattr(chordality._DeletionState, "_closed_is_clique", checked)
+    decide_split_inputs()
+    assert len(own) > 100
+    assert foreign == []
 
 
 # ----- clique-test counts -------------------------------------------------------------
