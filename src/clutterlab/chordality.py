@@ -26,12 +26,13 @@ none.  Building the state runs no clique test; its frontier is 0.
   and the first element that passes is the lex-first one; the frontier
   moves just above it.  An element emptied by other deletions before
   the frontier reaches it is never tested.
-* Settling tests every rank from the frontier up, which makes every
-  flag exact.  The driver, candidates() and simplicial_elements settle
-  first.  A deletion keeps the frontier where it is, and an undo
-  restores the frontier of its deletion, so the driver deletes only in
-  settled states: a state's next untried candidate is its lowest flag
-  above the rank last tried, and no state sorts its candidates.
+* Settling tests every element in the map from the frontier rank up,
+  in any order, which makes every flag exact.  The driver, candidates()
+  and simplicial_elements settle first.  A deletion keeps the frontier
+  where it is, and an undo restores the frontier of its deletion, so
+  the driver deletes only in settled states: a state's next untried
+  candidate is its lowest flag above the rank last tried, and no state
+  sorts its candidates.
 
 Deleting e updates the state in place and records what changed, so the
 deletion can be undone; the update rule and its soundness are below.
@@ -288,13 +289,13 @@ from __future__ import annotations
 import heapq
 from collections import Counter
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass
 from functools import reduce
 from itertools import combinations, islice, repeat
 from operator import and_
 
 from .clutter import (
     Clutter,
+    Record,
     Vertices,
     complete_clutter,
     mask_is_clique,
@@ -302,17 +303,10 @@ from .clutter import (
     neighborhood_map,
     verts_of,
 )
+from .guards import SearchLimitReached
 
 Multiset = Counter
 LambdaSequence = tuple[int, ...]
-
-
-class SearchLimitReached(RuntimeError):
-    """The configured state budget ran out before an answer was proved.
-
-    Catching this means the chordality question is still open for the
-    input; it must not be reported as "not chordal".
-    """
 
 
 class _StateBudget:
@@ -342,11 +336,10 @@ class _StateBudget:
         self.spent += states
 
 
-@dataclass(frozen=True, slots=True)
-class SimplicialOrder:
+class SimplicialOrder(Record):
     """A complete simplicial order: (element, open-neighborhood size) steps."""
 
-    steps: tuple[tuple[Vertices, int], ...]
+    __slots__ = ("steps",)
 
     def __len__(self) -> int:
         return len(self.steps)
@@ -407,22 +400,29 @@ class _DeletionState:
         return [self.by_rank[i - 1] for i in verts_of(self.settle())]
 
     def settle(self, first: bool = False) -> int:
-        """Clique-test the ranks from the frontier up; return the flags.
+        """Clique-test the elements from the frontier up; return the flags.
 
-        Every flag is exact afterwards.  With first set, the tests stop at
-        the first element that passes, and the frontier just above it.
-        A rank whose element is not in the map, emptied or (in a slice)
-        of another component, is skipped without a test.
+        Every flag is exact afterwards.  With first set, the tests run up
+        the ranks and stop at the first element that passes, with the
+        frontier just above it; a rank whose element is not in the map,
+        emptied or (in a slice) of another component, is skipped without
+        a test.  Without it, the tests run over the map's own elements,
+        in map order, so a slice walks only its component.
         """
-        nbrs, by_rank = self.nbrs, self.by_rank
-        for r in range(self.frontier, len(by_rank)):
-            f = by_rank[r]
-            nbr = nbrs.get(f)
-            if nbr and self._closed_is_clique(f, nbr):
-                self.flags |= 1 << r
-                if first:
+        nbrs, by_rank, frontier = self.nbrs, self.by_rank, self.frontier
+        if first:
+            for r in range(frontier, len(by_rank)):
+                f = by_rank[r]
+                nbr = nbrs.get(f)
+                if nbr and self._closed_is_clique(f, nbr):
+                    self.flags |= 1 << r
                     self.frontier = r + 1
                     return self.flags
+        else:
+            rank = self.rank
+            for f, nbr in nbrs.items():
+                if rank[f] >= frontier and self._closed_is_clique(f, nbr):
+                    self.flags |= 1 << rank[f]
         self.frontier = len(by_rank)
         return self.flags
 
@@ -494,9 +494,7 @@ class _DeletionState:
         The slice owns its circuits and map, and shares the ranks, so its
         flags are this state's masked to the component's ranks, below the
         same frontier: no clique test runs again.  Settling the slice
-        tests only its own elements, the ones in its map.  It walks every
-        rank from the frontier up once, the other components' included,
-        so each slice driven costs one pass over those ranks.
+        walks only its own elements, the ones in its map.
         find_simplicial_order may set its flags and frontier from another
         state of the same component.
         """

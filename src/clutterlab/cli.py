@@ -37,24 +37,9 @@ from collections import Counter
 from functools import cache
 from math import comb, lgamma, log, log10
 
-from . import __version__
-from .chordality import (
-    SearchLimitReached,
-    find_simplicial_order,
-    lambda_sequence,
-    simplicial_multiset,
-)
+from . import _EXPORTS, _ORIGIN, __version__
 from .clutter import MAX_VERTICES, Clutter, complete_clutter
-from .guards import HOCHSTER_DEFAULT, OracleBoundError, check_cap
-from .homology import clique_complex_faces, hochster_betti
-from .invariants import (
-    betti_from_multiset,
-    delta_from_multiset,
-    f_vector_direct,
-    f_vector_from_multiset,
-    h_vector_from_multiset,
-    multiplicity,
-)
+from .guards import HOCHSTER_DEFAULT, OracleBoundError, SearchLimitReached, check_cap
 from .io import (
     ClutterParseError,
     clutter_to_json,
@@ -63,14 +48,35 @@ from .io import (
     dumps_report,
     parse_clutter_file,
 )
-from .macaulay import (
-    complete_lambda,
-    extremal_clutter,
-    extremal_lambda_profile,
-    lambda_max,
-    lsequence_from_lambda,  # noqa: F401  perfbench/tracing.py patches this name here
-    validate_lambda,
-)
+
+_loaded: set[tuple[str, ...]] = set()
+
+
+def _load(*modules: str) -> None:
+    """Import the modules and bind their public names in this namespace.
+
+    Each command loads the modules it runs, so that it pays for no other
+    command's, and calls the library under these names, where
+    perfbench/tracing.py patches them.  A name that is bound already,
+    say by a tracer's wrapper, is kept.  After the first call with the
+    same modules, a call is one set lookup.
+    """
+    if modules not in _loaded:
+        for module in modules:
+            names = _EXPORTS[module].split()
+            loaded = __import__(module, globals(), None, names, 1)
+            for name in names:
+                globals().setdefault(name, getattr(loaded, name))
+        _loaded.add(modules)
+
+
+def __getattr__(name: str):
+    """A public name read from outside before any command loaded it."""
+    if name not in _ORIGIN:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    _load(_ORIGIN[name])
+    return globals()[name]
+
 
 SCHEMA = "clutterlab-report/1"
 
@@ -95,9 +101,10 @@ class Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-MAX_STATES_HELP = ("search budget in expanded states: one per greedy step for "
-                   "d = 2, otherwise the backtracking states summed over the "
-                   "(d-1)-components; exceeding it exits 2")
+MAX_STATES_HELP = ("search budget in expanded states: one per greedy step when "
+                   "greedy completes, or gets stuck on a graph (d = 2); after a "
+                   "stuck run for other d, the backtracking states summed over "
+                   "the (d-1)-components; exceeding it exits 2")
 
 
 def _state_budget(text: str) -> int:
@@ -220,6 +227,7 @@ def _print_human_check(report: dict, out) -> None:
 
 
 def cmd_check(args) -> int:
+    _load("chordality")
     _, report = _chordal_analysis(args.file, args.max_states)
     if args.as_json:
         print(dumps_report(report))
@@ -229,6 +237,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_invariants(args) -> int:
+    _load("chordality", "homology", "invariants", "macaulay")
     clutter, report = _chordal_analysis(args.file, args.max_states)
     if not report["chordal"]:
         print("not chordal: invariants are defined through a simplicial order; "
@@ -363,6 +372,7 @@ def _log10_binom(m: int, k: int) -> float:
 
 
 def cmd_lambda(args) -> int:
+    _load("macaulay")
     n, d = args.n, args.d
     i = getattr(args, "index", 1)
     seq = _parse_sequence(args.sequence) if args.mode == "validate" else ()
@@ -425,6 +435,7 @@ def cmd_generate(args) -> int:
         if args.mode == "complete":
             clutter = complete_clutter(n, d)
         else:
+            _load("macaulay")
             clutter = extremal_clutter(n, d, args.index)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import itertools
 from collections.abc import Iterable
-from dataclasses import dataclass
+from operator import attrgetter
 
 MAX_VERTICES = 64
 
@@ -47,18 +47,62 @@ def verts_of(mask: int) -> Vertices:
 # ----- value types --------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
-class Clutter:
-    """A d-uniform clutter on [n], circuits in canonical order.
+class Record:
+    """Base of the immutable value types, whose fields are their __slots__.
 
-    circuit_masks is sorted by the lexicographic order of the sorted
-    vertex tuples, so equal clutters compare and hash equal and every
-    iteration over circuits is deterministic.
+    A record is built positionally, one value per field in slot order.
+    Two records are equal when they have the same type and equal fields,
+    and equal records hash alike.  repr is Name(field=value, ...), and
+    assigning or deleting an attribute raises AttributeError.  Pickling
+    and copying rebuild a record through its constructor.
     """
 
-    n: int
-    d: int
-    circuit_masks: tuple[int, ...]
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        cls._values = staticmethod(attrgetter(*cls.__slots__))
+        cls._setters = tuple(getattr(cls, name).__set__ for name in cls.__slots__)
+        cls.__match_args__ = cls.__slots__
+
+    def __init__(self, *values):
+        if len(values) != len(self._setters):
+            raise TypeError(f"{type(self).__name__} takes {len(self._setters)} "
+                            f"fields, got {len(values)}")
+        for set_field, value in zip(self._setters, values):
+            set_field(self, value)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values(self) == other._values(other)
+
+    def __hash__(self):
+        return hash(self._values(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self.__slots__)
+
+    def _immutable(self, name, *_):
+        raise AttributeError(f"{type(self).__name__} is immutable: "
+                             f"cannot set or delete {name!r}")
+
+    __setattr__ = __delattr__ = _immutable
+
+
+class Clutter(Record):
+    """A d-uniform clutter on [n], circuits in canonical order.
+
+    Fields n, d and circuit_masks, a tuple of ints sorted by the
+    lexicographic order of the sorted vertex tuples, so equal clutters
+    compare and hash equal and every iteration over circuits is
+    deterministic.
+    """
+
+    __slots__ = ("n", "d", "circuit_masks")
 
     @property
     def circuits(self) -> tuple[Vertices, ...]:
@@ -77,17 +121,16 @@ class Clutter:
         return f"Clutter(n={self.n}, d={self.d}, {{{body}}})"
 
 
-@dataclass(frozen=True, slots=True)
-class SquarefreeIdeal:
+class SquarefreeIdeal(Record):
     """A squarefree monomial ideal given by its minimal generators.
 
-    Generators are vertex subsets of [n] in the same canonical mask
-    order used for circuits.  They always form an antichain under
-    inclusion; make_ideal discards non-minimal input monomials.
+    Fields n and gen_masks: the generators, vertex subsets of [n] in the
+    same canonical mask order used for circuits.  They always form an
+    antichain under inclusion; make_ideal discards non-minimal input
+    monomials.
     """
 
-    n: int
-    gen_masks: tuple[int, ...]
+    __slots__ = ("n", "gen_masks")
 
     @property
     def gens(self) -> tuple[Vertices, ...]:

@@ -1,4 +1,4 @@
-"""Size guards for the brute-force oracles.
+"""Size guards for the brute-force oracles, and the search budget's error.
 
 The enumeration oracles (direct f-vectors, clique-complex homology,
 graded Betti tables) are exponential in the vertex count, so each one
@@ -20,6 +20,16 @@ HOCHSTER_DEFAULT = 12
 
 class OracleBoundError(ValueError):
     """An oracle was asked to enumerate beyond its configured cap."""
+
+
+class SearchLimitReached(RuntimeError):
+    """The configured state budget ran out before an answer was proved.
+
+    Catching this means the chordality question is still open for the
+    input; it must not be reported as "not chordal".  It is defined here,
+    where the command line can catch it without loading the search, and
+    chordality exports it as well.
+    """
 
 
 def oracle_cap(default: int, override: int | None = None) -> int:

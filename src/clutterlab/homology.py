@@ -50,24 +50,22 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections.abc import Iterable
-from dataclasses import dataclass
 from itertools import takewhile, zip_longest
 from math import comb
 
-from .clutter import Clutter, Vertices, verts_of
+from .clutter import Clutter, Record, verts_of
 from .guards import FACES_DEFAULT, HOCHSTER_DEFAULT, check_cap
 
 
-@dataclass(frozen=True, slots=True)
-class FaceList:
+class FaceList(Record):
     """Faces of a simplicial complex grouped by cardinality.
 
-    by_size[k] holds the masks of the k-vertex faces in lexicographic
-    order of their vertex tuples; by_size[0] is always the empty face.
+    Fields universe, the vertex tuple, and by_size: by_size[k] holds the
+    masks of the k-vertex faces in lexicographic order of their vertex
+    tuples; by_size[0] is always the empty face.
     """
 
-    universe: Vertices
-    by_size: tuple[tuple[int, ...], ...]
+    __slots__ = ("universe", "by_size")
 
     @property
     def dimension(self) -> int:
@@ -231,13 +229,13 @@ def reduced_homology_ranks(faces: FaceList,
 # ----- Hochster-style decomposition ------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
-class GradedBettiTable:
-    """Nonzero graded Betti numbers of a circuit ideal, keyed (i, j)."""
+class GradedBettiTable(Record):
+    """Nonzero graded Betti numbers of a circuit ideal, keyed (i, j).
 
-    n: int
-    d: int
-    entries: tuple[tuple[tuple[int, int], int], ...]
+    Fields n, d and entries, a tuple of ((i, j), value) pairs.
+    """
+
+    __slots__ = ("n", "d", "entries")
 
     def as_dict(self) -> dict[tuple[int, int], int]:
         return dict(self.entries)

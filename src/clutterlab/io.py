@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import json
 from json.encoder import encode_basestring_ascii
-from typing import Any
 
 from .clutter import Clutter, make_clutter
 
@@ -35,7 +34,7 @@ class ClutterParseError(ValueError):
         super().__init__(f"{message}{where}")
 
 
-def clutter_from_json_dict(obj: Any) -> Clutter:
+def clutter_from_json_dict(obj: object) -> Clutter:
     """Build a clutter from the parsed JSON object form."""
     if not isinstance(obj, dict):
         raise ClutterParseError(f"JSON clutter must be an object, got {type(obj).__name__}")
@@ -56,7 +55,7 @@ def clutter_from_json_dict(obj: Any) -> Clutter:
         raise ClutterParseError(str(exc)) from exc
 
 
-def clutter_to_json_dict(clutter: Clutter) -> dict[str, Any]:
+def clutter_to_json_dict(clutter: Clutter) -> dict[str, object]:
     return {
         "n": clutter.n,
         "d": clutter.d,
@@ -130,7 +129,7 @@ def clutter_to_json(clutter: Clutter) -> str:
     return dumps_report(clutter_to_json_dict(clutter)) + "\n"
 
 
-def dumps_report(value: Any) -> str:
+def dumps_report(value: object) -> str:
     """json.dumps(value, indent=2), byte for byte, built in one pass.
 
     With indent set, json.dumps runs the pure-Python encoder, which
@@ -148,7 +147,7 @@ def dumps_report(value: Any) -> str:
     return "".join(out)
 
 
-def _write(value: Any, newline: str, out: list[str]) -> None:
+def _write(value: object, newline: str, out: list[str]) -> None:
     """Append value's JSON to out; newline starts a line at its depth."""
     kind = type(value)
     if kind is str:

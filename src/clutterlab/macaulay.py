@@ -16,11 +16,11 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass
 from itertools import combinations, islice
 
 from .clutter import (
     Clutter,
+    Record,
     SquarefreeIdeal,
     Vertices,
     clutter_from_masks,
@@ -101,20 +101,17 @@ def is_M_sequence(seq: Sequence[int]) -> bool:
 # ----- the alpha-sequence ----------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
-class AlphaSequence:
+class AlphaSequence(Record):
     """The (n, d) ladder: alpha, its negated partial sums sigma, and p.
 
     alpha is defined by sum alpha_j s^j = sum_{j=0}^{n-d} C(n, d+j) (s-1)^(j+1),
     a polynomial of degree n-d+1.  sigma_j = -(alpha_0 + ... + alpha_j)
     is non-negative with sigma_{n-d+1} = 0, and p(s) = sum_{j} C(n, d+j) (s-1)^j
     has coefficients (sigma_0, ..., sigma_{n-d}), monic of degree n-d.
+    Fields n, d, alpha and sigma, the last two tuples of ints.
     """
 
-    n: int
-    d: int
-    alpha: tuple[int, ...]
-    sigma: tuple[int, ...]
+    __slots__ = ("n", "d", "alpha", "sigma")
 
 
 def p_polynomial(n: int, d: int) -> IntPolynomial:
@@ -230,13 +227,14 @@ def lsequence_from_lambda(n: int, d: int, lam: Sequence[int]) -> LSequence:
     return tuple(out)
 
 
-@dataclass(frozen=True, slots=True)
-class LambdaDiagnosis:
-    """Outcome of a realizability check for a candidate lambda."""
+class LambdaDiagnosis(Record):
+    """Outcome of a realizability check for a candidate lambda.
 
-    valid: bool
-    reason: str | None
-    l_sequence: LSequence | None
+    Fields valid, a bool; reason, a str or None; and l_sequence, the
+    recovered l-sequence or None.
+    """
+
+    __slots__ = ("valid", "reason", "l_sequence")
 
 
 def validate_lambda(n: int, d: int, lam: Sequence[int]) -> LambdaDiagnosis:

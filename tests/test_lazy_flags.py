@@ -292,8 +292,8 @@ def test_slices_hold_their_components_simplicial_elements(driver_inputs):
 
 
 def test_slices_test_only_their_own_elements(monkeypatch):
-    # A slice shares the ranks of the whole input, so its settling walks
-    # the other components' ranks too; it must test none of them.
+    # A slice shares the ranks of the whole input; its settling must test
+    # none of the other components' elements.
     # id of each slice -> the slice, kept alive so no id is reused, and its elements
     own: dict[int, tuple[object, frozenset[int]]] = {}
     foreign = []
@@ -315,6 +315,40 @@ def test_slices_test_only_their_own_elements(monkeypatch):
     decide_split_inputs()
     assert len(own) > 100
     assert foreign == []
+
+
+def test_slices_settle_without_walking_the_ranks(monkeypatch):
+    # The driver settles each slice in full, which walks the slice's own
+    # map: it reads no entry of by_rank, the ranks of the whole input.
+    settling, read, settled = [], [], []
+    settle = chordality._DeletionState.settle
+    sliced = chordality._DeletionState.sliced
+
+    class Ranks(list):
+        def __getitem__(self, r):
+            if settling:
+                read.append(r)
+            return list.__getitem__(self, r)
+
+    def recorded(self, circuits, nbrs, ranks):
+        part = sliced(self, circuits, nbrs, ranks)
+        part.by_rank = Ranks(part.by_rank)
+        return part
+
+    def watched(self, first=False):
+        if type(self.by_rank) is Ranks:
+            settled.append(first)
+        settling.append(self)
+        try:
+            return settle(self, first)
+        finally:
+            settling.pop()
+
+    monkeypatch.setattr(chordality._DeletionState, "sliced", recorded)
+    monkeypatch.setattr(chordality._DeletionState, "settle", watched)
+    decide_split_inputs()
+    assert len(settled) > 100 and not any(settled)
+    assert read == []
 
 
 # ----- clique-test counts -------------------------------------------------------------
