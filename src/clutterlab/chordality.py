@@ -284,9 +284,6 @@ The driver deletes only in settled states, whose frontier is past
 every rank, so for the driver that mask clears nothing.
 """
 
-from __future__ import annotations
-
-import heapq
 from collections import Counter
 from collections.abc import Iterable, Iterator
 from functools import reduce
@@ -488,7 +485,7 @@ class _DeletionState:
         self.frontier = frontier
 
     def sliced(self, circuits: set[int], nbrs: dict[int, int],
-               ranks: int) -> _DeletionState:
+               ranks: int) -> "_DeletionState":
         """The state of one (d-1)-component, as _components lists it.
 
         The slice owns its circuits and map, and shares the ranks, so its
@@ -692,6 +689,7 @@ def find_simplicial_order(clutter: Clutter,
         else:
             budget.expand((ranks & taken).bit_count())
     witnesses.append(step for step in steps if not stuck >> rank[step[0]] & 1)
+    import heapq  # only this path merges, so a completed search never loads it
     return _order(heapq.merge(*witnesses, key=lambda step: rank[step[0]]))
 
 

@@ -26,16 +26,22 @@ on converting an int to text, or when its entries would print more
 than LAMBDA_MAX_OUTPUT digits in all.  JSON reports carry a schema tag and
 embed the parsed input, so piping a report's "input" object back into
 the tool reproduces the report.
+
+Arguments are read off one grammar table, GRAMMAR.  A well-formed argv,
+one that matches it exactly, is parsed by _parse_well_formed without
+argparse.  Every other argv (help, --version, usage errors, and
+spellings such as abbreviated options or "--opt=value") goes to the
+argparse tree that _build_parser builds from the same table; argparse
+is imported only then.  Leaving an argv to argparse is always safe:
+argparse reads every argv, so help, messages and exit codes are its own.
 """
 
-from __future__ import annotations
-
-import argparse
 import os
 import sys
 from collections import Counter
 from functools import cache
 from math import comb, lgamma, log, log10
+from types import SimpleNamespace
 
 from . import _EXPORTS, _ORIGIN, __version__
 from .clutter import MAX_VERTICES, Clutter, complete_clutter
@@ -71,7 +77,10 @@ def _load(*modules: str) -> None:
 
 
 def __getattr__(name: str):
-    """A public name read from outside before any command loaded it."""
+    """A public name read from outside before any command loaded it, or
+    Parser, whose first read loads argparse."""
+    if name == "Parser":
+        return _parser_class()
     if name not in _ORIGIN:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     _load(_ORIGIN[name])
@@ -94,11 +103,16 @@ class UsageError(Exception):
     pass
 
 
-class Parser(argparse.ArgumentParser):
-    """argparse that reports bad arguments through exit code 64."""
+@cache
+def _parser_class() -> type:
+    """Parser: argparse that reports bad arguments through exit code 64."""
+    import argparse
 
-    def error(self, message):
-        raise UsageError(message)
+    class Parser(argparse.ArgumentParser):
+        def error(self, message):
+            raise UsageError(message)
+
+    return Parser
 
 
 MAX_STATES_HELP = ("search budget in expanded states: one per greedy step when "
@@ -107,20 +121,117 @@ MAX_STATES_HELP = ("search budget in expanded states: one per greedy step when "
                    "the (d-1)-components; exceeding it exits 2")
 
 
+def _type_error(message: str) -> Exception:
+    """argparse's error for a refused value, imported only then."""
+    from argparse import ArgumentTypeError
+    return ArgumentTypeError(message)
+
+
 def _state_budget(text: str) -> int:
     """--max-states value: a non-negative integer."""
     try:
         value = int(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+        raise _type_error(f"not an integer: {text!r}") from None
     if value < 0:
-        raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
+        raise _type_error(f"must be non-negative, got {value}")
     return value
 
 
+# The grammar, the one place it is written.  Per command, or per command
+# and mode: its positionals as (dest, converter), then its option strings,
+# each mapped to (dest, converter), where a None converter marks a
+# store_true flag and any other an option that takes one value.
+_JSON = {"--json": ("as_json", None)}
+_BUDGET = {"--max-states": ("max_states", _state_budget)}
+_OUTPUT = {"-o": ("output", str), "--output": ("output", str)}
+_ND = (("n", int), ("d", int))
+_NDI = (*_ND, ("index", int))
+GRAMMAR = {
+    "check": ((("file", str),), _JSON | _BUDGET),
+    "invariants": ((("file", str),),
+                   {"--f": ("want_f", None), "--h": ("want_h", None),
+                    "--betti": ("want_betti", None), "--verify": ("verify", None),
+                    **_JSON, **_BUDGET}),
+    "lambda": {"max": (_NDI, _JSON), "profile": (_NDI, _JSON),
+               "complete": (_ND, _JSON),
+               "validate": ((*_ND, ("sequence", str)), _JSON)},
+    "generate": {"complete": (_ND, _OUTPUT | _JSON),
+                 "extremal": (_NDI, _OUTPUT | _JSON)},
+}
+
+# What argparse's tree adds to the grammar: help by command, by
+# "command dest" and by dest, and metavars by dest.
+_HELP = {
+    "check": "decide chordality of a clutter file",
+    "invariants": "f/h/Betti invariants of a chordal clutter file",
+    "lambda": "lambda-sequence arithmetic for (n, d)",
+    "generate": "write a named clutter family member",
+    "generate as_json": "emit the JSON clutter form instead of text",
+    "max_states": MAX_STATES_HELP,
+    "verify": "cross-check against the enumeration oracles",
+    "sequence": "comma-separated candidate, e.g. 4,2",
+}
+_METAVAR = {"index": "I", "sequence": "SEQ"}
+
+
+def _parse_well_formed(argv) -> SimpleNamespace | None:
+    """The namespace argparse returns for argv, or None to leave argv to it.
+
+    It returns one only for an exact, complete match of the grammar:
+    a known command and mode, each word that starts with "-" one of
+    their option strings as spelled (no abbreviation, "--opt=value",
+    "--", "-", -h or negative number), an option's value present and
+    not starting with "-", the right number of positionals, and every
+    converter succeeding.  argparse reads each such argv the same way.
+    """
+    words = iter(argv)
+    values = {"command": next(words, None)}
+    rule = GRAMMAR.get(values["command"])
+    if isinstance(rule, dict):
+        values["mode"] = next(words, None)
+        rule = rule.get(values["mode"])
+    if rule is None:
+        return None
+    positionals, options = rule
+    for dest, convert in options.values():
+        values[dest] = False if convert is None else None
+    given, pending = [], []  # pending: an option's (dest, converter, value)
+    for word in words:
+        if not word.startswith("-"):
+            given.append(word)
+            continue
+        if word not in options:
+            return None
+        dest, convert = options[word]
+        if convert is None:
+            values[dest] = True
+            continue
+        value = next(words, "-")
+        if value.startswith("-"):
+            return None
+        pending.append((dest, convert, value))
+    if len(given) != len(positionals):
+        return None
+    try:
+        for dest, convert, word in pending:
+            values[dest] = convert(word)
+        for (dest, convert), word in zip(positionals, given):
+            values[dest] = convert(word)
+    except Exception:  # ValueError, or argparse's type error: argparse says why
+        return None
+    return SimpleNamespace(**values)
+
+
 @cache
-def _build_parser() -> Parser:
-    """The argument tree, built on the first call and reused after it.
+def _build_parser():
+    """argparse's tree over GRAMMAR, built on the first call and reused.
+
+    main parses with it only the argv that _parse_well_formed leaves to
+    it: help, --version, usage errors and any well-formed spelling that
+    the grammar does not match exactly.  Leaving an argv to it is always
+    safe, since it reads every argv, and so the messages, help and exit
+    codes are argparse's own.
 
     Reuse is safe because a parse keeps no state in the tree:
     parse_args holds all per-call state in the Namespace it returns and
@@ -130,56 +241,34 @@ def _build_parser() -> Parser:
     message and read the terminal width and sys.stdout/sys.stderr at
     that moment; and nothing mutates the tree once it is built.
     """
-    parser = Parser(prog="clutterlab",
-                    description="chordality and resolution invariants "
-                                "of uniform clutters")
+    parser = _parser_class()(prog="clutterlab",
+                             description="chordality and resolution invariants "
+                                         "of uniform clutters")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_check = sub.add_parser("check", help="decide chordality of a clutter file")
-    p_check.add_argument("file")
-    p_check.add_argument("--json", action="store_true", dest="as_json")
-    p_check.add_argument("--max-states", type=_state_budget, default=None,
-                         help=MAX_STATES_HELP)
-
-    p_inv = sub.add_parser("invariants",
-                           help="f/h/Betti invariants of a chordal clutter file")
-    p_inv.add_argument("file")
-    p_inv.add_argument("--f", action="store_true", dest="want_f")
-    p_inv.add_argument("--h", action="store_true", dest="want_h")
-    p_inv.add_argument("--betti", action="store_true", dest="want_betti")
-    p_inv.add_argument("--verify", action="store_true",
-                       help="cross-check against the enumeration oracles")
-    p_inv.add_argument("--json", action="store_true", dest="as_json")
-    p_inv.add_argument("--max-states", type=_state_budget, default=None,
-                       help=MAX_STATES_HELP)
-
-    p_lam = sub.add_parser("lambda", help="lambda-sequence arithmetic for (n, d)")
-    lam_sub = p_lam.add_subparsers(dest="mode", required=True)
-    for mode, extra in (("max", "I"), ("profile", "I"),
-                        ("complete", None), ("validate", "SEQ")):
-        q = lam_sub.add_parser(mode)
-        q.add_argument("n", type=int)
-        q.add_argument("d", type=int)
-        if extra == "I":
-            q.add_argument("index", type=int, metavar="I")
-        elif extra == "SEQ":
-            q.add_argument("sequence", metavar="SEQ",
-                           help="comma-separated candidate, e.g. 4,2")
-        q.add_argument("--json", action="store_true", dest="as_json")
-
-    p_gen = sub.add_parser("generate", help="write a named clutter family member")
-    gen_sub = p_gen.add_subparsers(dest="mode", required=True)
-    for mode, takes_index in (("complete", False), ("extremal", True)):
-        q = gen_sub.add_parser(mode)
-        q.add_argument("n", type=int)
-        q.add_argument("d", type=int)
-        if takes_index:
-            q.add_argument("index", type=int, metavar="I")
-        q.add_argument("-o", "--output", default=None)
-        q.add_argument("--json", action="store_true", dest="as_json",
-                       help="emit the JSON clutter form instead of text")
+    for command, rule in GRAMMAR.items():
+        p_command = sub.add_parser(command, help=_HELP[command])
+        if isinstance(rule, dict):
+            modes = p_command.add_subparsers(dest="mode", required=True)
+            for mode, mode_rule in rule.items():
+                _add_arguments(modes.add_parser(mode), command, mode_rule)
+        else:
+            _add_arguments(p_command, command, rule)
     return parser
+
+
+def _add_arguments(parser, command: str, rule) -> None:
+    positionals, options = rule
+    for dest, convert in positionals:
+        parser.add_argument(dest, type=convert, metavar=_METAVAR.get(dest),
+                            help=_HELP.get(dest))
+    flags: dict[tuple, list[str]] = {}  # the option strings of each option
+    for flag, option in options.items():
+        flags.setdefault(option, []).append(flag)
+    for (dest, convert), strings in flags.items():
+        kind = {"action": "store_true"} if convert is None else {"type": convert}
+        parser.add_argument(*strings, dest=dest, **kind,
+                            help=_HELP.get(f"{command} {dest}", _HELP.get(dest)))
 
 
 # ----- report assembly --------------------------------------------------------
@@ -456,9 +545,10 @@ def cmd_generate(args) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
     try:
-        args = parser.parse_args(argv)
+        args = _parse_well_formed(argv) or _build_parser().parse_args(argv)
         command = {"check": cmd_check, "invariants": cmd_invariants,
                    "lambda": cmd_lambda, "generate": cmd_generate}[args.command]
         code = command(args)

@@ -12,8 +12,6 @@ mask representation is an internal convention shared with the sibling
 modules.
 """
 
-from __future__ import annotations
-
 import itertools
 from collections.abc import Iterable
 from operator import attrgetter

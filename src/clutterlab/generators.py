@@ -9,8 +9,6 @@ simplicial order (the reverse of the construction), which makes these
 instances ideal for cross-checking the search.
 """
 
-from __future__ import annotations
-
 import heapq
 import itertools
 import random

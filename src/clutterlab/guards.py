@@ -7,8 +7,6 @@ variable overrides every default at once; an explicit argument at the
 call site overrides both.
 """
 
-from __future__ import annotations
-
 import os
 
 ENV_VAR = "CLUTTERLAB_MAX_N"

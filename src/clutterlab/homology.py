@@ -46,8 +46,6 @@ All subset enumeration is exponential in n; the caps in guards.py
 apply.
 """
 
-from __future__ import annotations
-
 from bisect import bisect_left
 from collections.abc import Iterable
 from itertools import takewhile, zip_longest

@@ -20,8 +20,6 @@ A Betti sequence lists (beta_0, ..., beta_p) with every entry positive;
 its length fixes the projective dimension p.
 """
 
-from __future__ import annotations
-
 from collections import Counter
 from collections.abc import Iterable
 from math import comb

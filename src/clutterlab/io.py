@@ -16,8 +16,6 @@ Reports are written by dumps_report, which returns what
 json.dumps(value, indent=2) returns, byte for byte.
 """
 
-from __future__ import annotations
-
 import json
 from json.encoder import encode_basestring_ascii
 

@@ -12,8 +12,6 @@ profiles attaining the per-index maximum, and the generator-count
 identity used to cross-check strongly stable ideals.
 """
 
-from __future__ import annotations
-
 import math
 from collections.abc import Iterable, Sequence
 from itertools import combinations, islice

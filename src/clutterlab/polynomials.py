@@ -9,8 +9,6 @@ invariants module works on such tuples directly and needs only binom;
 IntPolynomial serves macaulay.p_polynomial.
 """
 
-from __future__ import annotations
-
 import math
 from collections.abc import Iterable
 

@@ -556,8 +556,11 @@ def test_parser_is_built_once_per_process(ex_file, cycle_file, tmp_path, capsys,
     one_tree = len(built)  # the top-level parser and its subparsers
     built.clear()
     cli._build_parser.cache_clear()
-    codes = [_call(argv) for argv in
-             _mixed_calls(ex_file, cycle_file, str(tmp_path / "ext.json"))]
+    calls = _mixed_calls(ex_file, cycle_file, str(tmp_path / "ext.json"))
+    well_formed = calls[:calls.index(["--version"])]  # every call before it
+    codes = [_call(argv) for argv in well_formed]
+    assert built == []  # a well-formed call builds no tree
+    codes += [_call(argv) for argv in calls]
     capsys.readouterr()
     assert set(codes) == {0, 1, 2, 64}
     assert built.count("clutterlab") == 1

@@ -2,11 +2,14 @@
 
 `import clutterlab` loads no submodule; `check` loads none of the
 invariant, homology and Macaulay modules, and `lambda` none of the
-search and homology modules.  Neither loads `dataclasses` unless a bare
-interpreter already has it.  Both entry paths are covered: the module
-run as `__main__` through runpy, as `python -m clutterlab.cli` runs it,
-and `from clutterlab.cli import main`, as the console script runs it.  Each child runs real jobs, checks their exit codes and
-prints its sys.modules at exit.
+search and homology modules.  No well-formed command loads `argparse`
+or `gettext`, and none loads `dataclasses` or `__future__` unless a
+bare interpreter already has it; help and usage errors still go
+through argparse.  A `check` that greedy decides loads no `heapq`.
+Both entry paths are covered: the module run as `__main__` through
+runpy, as `python -m clutterlab.cli` runs it, and `from clutterlab.cli
+import main`, as the console script runs it.  Each child runs real
+jobs, checks their exit codes and prints its sys.modules at exit.
 """
 
 from __future__ import annotations
@@ -40,15 +43,23 @@ JOBS = {
                (["lambda", "max", "8", "3", "2"], 0),
                (["lambda", "profile", "8", "3", "3", "--json"], 0),
                (["lambda", "complete", "8", "3"], 0)],
+    "invariants": [(["invariants", "chordal.txt", "--verify", "--json"], 0),
+                   (["invariants", "chordal.txt", "--h", "--max-states", "50"], 0),
+                   (["invariants", "cycle.txt"], 1)],
 }
 
 NEEDED = {"check": {"chordality", "clutter", "guards", "io"},
-          "lambda": {"macaulay", "clutter", "guards", "io"}}
+          "lambda": {"macaulay", "clutter", "guards", "io"},
+          "invariants": {"chordality", "homology", "invariants", "macaulay"}}
 
 FORBIDDEN = {
     "check": {"homology", "invariants", "macaulay", "polynomials", "generators"},
     "lambda": {"chordality", "homology", "invariants", "generators"},
+    "invariants": {"generators"},
 }
+
+# loaded by argparse, which only help, --version and usage errors need
+ARGPARSE = {"argparse", "gettext"}
 
 
 def _run(code: str, cwd: Path) -> list[str]:
@@ -118,8 +129,35 @@ def test_a_command_loads_only_what_it_runs(command, entry, workdir, bare):
     submodules = _submodules(loaded)
     assert NEEDED[command] <= submodules
     assert not submodules & FORBIDDEN[command], submodules & FORBIDDEN[command]
-    if "dataclasses" not in bare:
-        assert "dataclasses" not in loaded
+    assert not loaded & ARGPARSE, loaded & ARGPARSE
+    for module in ("dataclasses", "__future__"):
+        if module not in bare:
+            assert module not in loaded, module
+
+
+@pytest.mark.parametrize("entry", [_via_main, _via_dash_m], ids=["main", "dash_m"])
+@pytest.mark.parametrize("argv, code", [
+    (["--help"], 0), (["check", "--help"], 0),
+    (["check", "chordal.txt", "--bogus"], 64), (["lambda", "max", "8", "3"], 64),
+    (["check", "chordal.txt", "--js"], 0),  # argparse's abbreviation of --json
+])
+def test_help_and_usage_errors_still_go_through_argparse(argv, code, entry, workdir):
+    if entry is _via_main:
+        # help exits through argparse, which the console script lets through
+        script = ("from clutterlab.cli import main\n"
+                  f"try:\n    sys.exit(main({argv!r}))\n"
+                  f"except SystemExit as exc:\n    assert exc.code == {code}, exc.code\n")
+    else:
+        script = entry([(argv, code)])
+    assert ARGPARSE <= _modules(script, workdir)
+
+
+def test_a_check_greedy_decides_loads_no_heapq(workdir, bare):
+    # greedy completes on chordal.txt, and d = 2 decides cycle.txt when
+    # it gets stuck; only a stuck run for d >= 3 merges witnesses
+    jobs = [(["check", "chordal.txt", "--json"], 0), (["check", "cycle.txt"], 1)]
+    loaded = _modules(_via_main(jobs), workdir)
+    assert "heapq" in bare or "heapq" not in loaded
 
 
 def test_tracer_wrappers_survive_each_commands_first_load(workdir):
