@@ -438,7 +438,7 @@ def _parse_sequence(text: str) -> tuple[int, ...]:
     if not text.strip():
         return ()
     try:
-        return tuple(int(tok) for tok in text.split(","))
+        return tuple(map(int, text.split(",")))
     except ValueError:
         raise UsageError(f"expected a comma-separated integer list, got {text!r}")
 
@@ -465,6 +465,8 @@ def cmd_lambda(args) -> int:
     n, d = args.n, args.d
     i = getattr(args, "index", 1)
     seq = _parse_sequence(args.sequence) if args.mode == "validate" else ()
+    if args.mode == "validate" and not 1 <= d < n:
+        raise UsageError(f"need 1 <= d < n, got d={d}, n={n}")
     # The largest number each mode prints is one of these binomials.
     biggest = {"max": [(n - i, d - 1)], "profile": [(n - i, d - 1), (n - 2, d - 2)],
                "complete": [(n - 2, d - 2)], "validate": [(n - 1, d - 1)]}[args.mode]

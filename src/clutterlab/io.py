@@ -137,8 +137,9 @@ def dumps_report(value: object) -> str:
     other container (empty, a subclass, a dict with a key that is not a
     str) goes whole to json.dumps(value, indent=2), its lines shifted to
     the current depth; a JSON string holds no raw newline, so every
-    newline it writes starts a line.  Every other scalar goes to
-    json.dumps, which writes a scalar on one line whatever the indent.
+    newline it writes starts a line.  It writes true, false and null
+    itself, and every other scalar goes to json.dumps, which writes a
+    scalar on one line whatever the indent.
     """
     out: list[str] = []
     _write(value, "\n", out)
@@ -173,5 +174,7 @@ def _write(value: object, newline: str, out: list[str]) -> None:
         out.append(newline + "}")
     elif isinstance(value, (list, tuple, dict)):
         out.append(json.dumps(value, indent=2).replace("\n", newline))
+    elif value is True or value is False or value is None:
+        out.append("true" if value else "null" if value is None else "false")
     else:
         out.append(json.dumps(value))

@@ -10,11 +10,19 @@ at most d.  This module implements both directions of that translation,
 the classical Macaulay growth bound behind "M-sequence", the extremal
 profiles attaining the per-index maximum, and the generator-count
 identity used to cross-check strongly stable ideals.
+
+The arithmetic runs as C-level passes over math.comb where it can.
+is_M_sequence warm-starts each top of a Macaulay representation from
+the one found before it, which Macaulay's theorem (1927) makes sound
+and close: C(t, k) strictly increases in t >= k, so any start finds the
+same largest top, and l_{i+1} <= l_i^<i> < C(a_i + 2, i + 1), a_i the
+first top of l_i, puts the first top of l_{i+1} at most a_i + 1.
 """
 
-import math
 from collections.abc import Iterable, Sequence
-from itertools import combinations, islice
+from itertools import accumulate, combinations, islice, repeat
+from math import comb
+from operator import sub
 
 from .clutter import (
     Clutter,
@@ -34,6 +42,30 @@ LSequence = tuple[int, ...]
 # ----- Macaulay representation and growth bound ------------------------------
 
 
+def _top(rest: int, idx: int, start: int) -> int:
+    """Largest top with C(top, idx) <= rest, for rest >= 1 and start >= idx.
+
+    C(top, idx) strictly increases in top >= idx, so every start finds
+    the same top; a start near it finds it in few steps.  Gallop
+    from start, doubling the step, in the direction of the answer, then
+    bisect.  C(idx, idx) = 1 <= rest stops a downward gallop at idx.
+    """
+    lo, hi, step = start, start, 1
+    if comb(start, idx) <= rest:
+        while comb(hi := lo + step, idx) <= rest:
+            lo, step = hi, 2 * step
+    else:
+        while comb(lo := max(hi - step, idx), idx) > rest:
+            hi, step = lo, 2 * step
+    while hi - lo > 1:  # C(lo, idx) <= rest < C(hi, idx)
+        mid = (lo + hi) // 2
+        if comb(mid, idx) <= rest:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
 def macaulay_representation(a: int, i: int) -> tuple[tuple[int, int], ...]:
     """Greedy binomial expansion of a at index i.
 
@@ -46,23 +78,11 @@ def macaulay_representation(a: int, i: int) -> tuple[tuple[int, int], ...]:
     if i < 1:
         raise ValueError(f"positive index expected, got {i}")
     rep = []
-    rest = a
-    idx = i
+    rest, idx = a, i
     while rest > 0:
-        # Largest top with C(top, idx) <= rest.  C(top, idx) grows with
-        # top, so double a step until it overshoots, then bisect.
-        lo, step = idx, 1
-        while math.comb(lo + step, idx) <= rest:
-            lo, step = lo + step, 2 * step
-        hi = lo + step  # C(lo, idx) <= rest < C(hi, idx)
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if math.comb(mid, idx) <= rest:
-                lo = mid
-            else:
-                hi = mid
-        rep.append((lo, idx))
-        rest -= math.comb(lo, idx)
+        top = _top(rest, idx, idx)
+        rep.append((top, idx))
+        rest -= comb(top, idx)
         idx -= 1
     return tuple(rep)
 
@@ -75,7 +95,7 @@ def macaulay_bound(a: int, i: int) -> int:
     """
     if a == 0:
         return 0
-    return sum(math.comb(top + 1, idx + 1)
+    return sum(comb(top + 1, idx + 1)
                for top, idx in macaulay_representation(a, i))
 
 
@@ -84,14 +104,30 @@ def is_M_sequence(seq: Sequence[int]) -> bool:
 
     The step from l_0 to l_1 is unconstrained (any number of variables
     may appear in degree one); all entries must be non-negative.
+
+    Each l_i^<i> is summed term by term from l_i's representation, and
+    only until it reaches l_{i+1}.  The search for l_i's first top
+    starts at l_{i-1}'s first top + 1, and each later top at the one
+    before it - 1.  Any start gives the same top (see _top), and these
+    are close: l_{i-1}^<i-1> is itself a representation at index i with
+    top a_{i-1} + 1, so l_{i-1}^<i-1> < C(a_{i-1} + 2, i), and
+    l_i <= l_{i-1}^<i-1> forces a_i <= a_{i-1} + 1.  When that bound
+    fails, the function has returned False before the search.
     """
-    ls = list(seq)
-    if not ls or ls[0] != 1:
+    ls = tuple(seq)
+    if not ls or ls[0] != 1 or not all(map(isinstance, ls, repeat(int))) or min(ls) < 0:
         return False
-    if any(not isinstance(x, int) or x < 0 for x in ls):
-        return False
+    top = 0  # l_{i-1}'s first top; 0 makes l_1's search start at 1
     for i in range(1, len(ls) - 1):
-        if ls[i + 1] > macaulay_bound(ls[i], i):
+        rest, nxt = ls[i], ls[i + 1]
+        bound, idx, start = 0, i, top + 1
+        while rest and bound < nxt:
+            start = _top(rest, idx, start)
+            top = start if idx == i else top
+            bound += comb(start + 1, idx + 1)
+            rest -= comb(start, idx)
+            idx, start = idx - 1, start - 1
+        if nxt > bound:
             return False
     return True
 
@@ -120,7 +156,7 @@ def p_polynomial(n: int, d: int) -> IntPolynomial:
     s_minus_1 = IntPolynomial([-1, 1])
     power = IntPolynomial([1])
     for j in range(n - d + 1):
-        poly = poly + power.scale(math.comb(n, d + j))
+        poly = poly + power.scale(comb(n, d + j))
         power = power * s_minus_1
     return poly
 
@@ -137,9 +173,8 @@ def alpha_sequence(n: int, d: int) -> AlphaSequence:
     """
     if not 1 <= d < n:
         raise ValueError(f"need 1 <= d < n, got d={d}, n={n}")
-    sigma = tuple(binom(n - 1 - k, d - 1) for k in range(n - d + 2))
-    alpha = (-sigma[0],) + tuple(sigma[k - 1] - sigma[k]
-                                 for k in range(1, n - d + 2))
+    sigma = (*map(comb, range(n - 1, d - 2, -1), repeat(d - 1)), 0)
+    alpha = (-sigma[0], *map(sub, sigma, sigma[1:]))
     return AlphaSequence(n, d, alpha, sigma)
 
 
@@ -199,10 +234,13 @@ def lsequence_from_lambda(n: int, d: int, lam: Sequence[int]) -> LSequence:
     k = 0..n-d.  The input may be trimmed; anything longer than n-d
     entries means the clutter would have to be complete, which has no
     l-sequence, so that raises.  A negative l_k raises
-    UnrealizableLambda with the offending index.
+    UnrealizableLambda with the first offending index.  Parameters
+    outside 1 <= d < n raise ValueError before any other check.
     """
+    if not 1 <= d < n:
+        raise ValueError(f"need 1 <= d < n, got d={d}, n={n}")
     lam = list(lam)
-    if any(not isinstance(x, int) or x < 0 for x in lam):
+    if not all(map(isinstance, lam, repeat(int))) or lam and min(lam) < 0:
         raise ValueError("lambda entries must be non-negative integers")
     while lam and lam[-1] == 0:
         lam.pop()
@@ -212,17 +250,12 @@ def lsequence_from_lambda(n: int, d: int, lam: Sequence[int]) -> LSequence:
             "of distinct sizes; only the complete clutter reaches index "
             f"{n - d + 1}, and it is excluded here")
     full = lam + [0] * (n - d + 1 - len(lam))  # lambda_1 .. lambda_{n-d+1}
-    sig = alpha_sequence(n, d).sigma
-    out = []
-    tail = 0  # lambda_{j+1} + ... + lambda_{n-d+1}
-    for k in range(n - d + 1):
-        j = n - d - k
-        tail += full[j]
-        lk = sig[j] - tail
-        if lk < 0:
-            raise UnrealizableLambda(f"l_{k} = {lk} < 0: lambda is not realizable")
-        out.append(lk)
-    return tuple(out)
+    # l_k = sigma_{n-d-k} minus the k+1 trailing entries of full
+    out = tuple(map(sub, alpha_sequence(n, d).sigma[-2::-1], accumulate(reversed(full))))
+    if min(out) < 0:
+        k = next(k for k, lk in enumerate(out) if lk < 0)
+        raise UnrealizableLambda(f"l_{k} = {out[k]} < 0: lambda is not realizable")
+    return out
 
 
 class LambdaDiagnosis(Record):
@@ -289,10 +322,12 @@ def extremal_lambda_profile(n: int, d: int, i: int) -> tuple[int, ...]:
     alpha_j - C(n-1-j, d-2) for j > i.  By Pascal's rule alpha_j =
     C(n-1-j, d-2), so the entries before i are C(n-1-j, d-2), entry i
     is lambda_max = C(n-i, d-1) > 0, and every entry after i is 0 and
-    trimmed.  binom is zero outside its range, which covers d = 1.
+    trimmed.  For d = 1, binom's zero extension gives the zero entries
+    before i; math.comb refuses a negative k.
     """
     _check_index(n, d, i)
-    return tuple(binom(n - 1 - j, d - 2) for j in range(1, i)) + (binom(n - i, d - 1),)
+    choose = comb if d > 1 else binom
+    return (*map(choose, range(n - 2, n - 1 - i, -1), repeat(d - 2)), choose(n - i, d - 1))
 
 
 def extremal_clutter(n: int, d: int, i: int) -> Clutter:
@@ -315,7 +350,7 @@ def complete_lambda(n: int, d: int) -> tuple[int, ...]:
     """
     if d < 2 or n < d:
         raise ValueError(f"need n >= d >= 2, got n={n}, d={d}")
-    return tuple(binom(n - 1 - i, d - 2) for i in range(1, n - d + 2))
+    return tuple(map(comb, range(n - 2, d - 3, -1), repeat(d - 2)))
 
 
 # ----- squarefree strongly stable ideals -------------------------------------
@@ -432,7 +467,7 @@ def ideal_with_m_vector(n: int, d: int, counts: Sequence[int]) -> SquarefreeIdea
     masks = []
     for i, c in enumerate(counts):
         level = d + i
-        capacity = math.comb(level - 1, d - 1)
+        capacity = comb(level - 1, d - 1)
         if c > capacity:
             raise ValueError(
                 f"m_{level} = {c} exceeds the {capacity} available "

@@ -349,6 +349,14 @@ def test_lambda_validate_garbage(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize("n, d", [("3", "4"), ("3", "3"), ("6", "0")])
+def test_lambda_validate_refuses_bad_parameters(capsys, n, d):
+    # a bad argument, not a lambda that fails validation
+    code, out, err = run(capsys, "lambda", "validate", n, d, "")
+    assert (code, out) == (64, "")
+    assert err == f"error: need 1 <= d < n, got d={d}, n={n}\n"
+
+
 def test_generate_complete_stdout(capsys):
     code, out, _ = run(capsys, "generate", "complete", "4", "3")
     assert code == 0

@@ -114,6 +114,11 @@ class DictSubclass(dict):
 @example({"a": [{1: "x", None: [1, {"b": []}]}, {"s": 0, 2.5: ["\n"]}]})
 @example({"a": [ListSubclass([1, [2, "c"]]), DictSubclass(b=[3], c={"d": {}})]})
 @example({"a": {"b": [[], {}, ()], "c": {"d": [], "e": {}}}})
+# true, false and null the writer spells itself; 1.0 == True and 0.0 == False
+# must still go to json.dumps
+@example([[True, 1.0, 1], [False, 0.0, -0.0, 0], [None, [1, 2], [True, [False, None]]]])
+@example({"a": [[1.0, True], {"b": [0.0, False, -0.0, None]}], "c": [[1, 2], [3]]})
+@example(({"valid": True, "l_sequence": None, "reason": None}, [[-0.0, 1], (True, 1.0)]))
 def test_report_writer_is_json_dumps(value):
     assert dumps_report(value) == json.dumps(value, indent=2)
 

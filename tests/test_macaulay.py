@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import random
+from fractions import Fraction
+from functools import cache
 from itertools import product
 from math import comb
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from clutterlab import (
     UnrealizableLambda,
@@ -39,6 +41,7 @@ from clutterlab import (
     strongly_stable_closure,
     validate_lambda,
 )
+from clutterlab.macaulay import _top
 from clutterlab.polynomials import IntPolynomial, binom
 
 
@@ -68,14 +71,71 @@ def linear_scan_representation(a: int, i: int) -> tuple[tuple[int, int], ...]:
     return tuple(rep)
 
 
+def boundary_values(i: int) -> list[int]:
+    """Every small value, and both sides of every binomial boundary at i."""
+    values = set(range(1, 300))
+    for top in range(i, 60):
+        values.update({comb(top, i) - 1, comb(top, i), comb(top, i) + 1})
+    return sorted(values - {0})
+
+
 def test_macaulay_representation_matches_linear_scan():
     for i in range(1, 9):
-        # every small value, and both sides of every binomial boundary
-        values = set(range(1, 300))
-        for top in range(i, 60):
-            values.update({comb(top, i) - 1, comb(top, i), comb(top, i) + 1})
-        for a in sorted(values - {0}):
+        for a in boundary_values(i):
             assert macaulay_representation(a, i) == linear_scan_representation(a, i), (a, i)
+
+
+def test_top_search_from_every_start_matches_linear_scan():
+    # the answer must not depend on the start, below or above the top
+    for i in range(1, 11):
+        for a in boundary_values(i):
+            top = linear_scan_representation(a, i)[0][0]
+            for start in range(i, top + 4):
+                assert _top(a, i, start) == top, (a, i, start)
+
+
+def bisect_representation(a: int, i: int) -> tuple[tuple[int, int], ...]:
+    """Reference: each top found from idx by doubling a step, then bisecting."""
+    rep = []
+    rest = a
+    idx = i
+    while rest > 0:
+        lo, step = idx, 1
+        while comb(lo + step, idx) <= rest:
+            lo, step = lo + step, 2 * step
+        hi = lo + step  # C(lo, idx) <= rest < C(hi, idx)
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if comb(mid, idx) <= rest:
+                lo = mid
+            else:
+                hi = mid
+        rep.append((lo, idx))
+        rest -= comb(lo, idx)
+        idx -= 1
+    return tuple(rep)
+
+
+@cache
+def bound_ref(a: int, i: int) -> int:
+    """Reference a^<i>, each term summed from bisect_representation."""
+    return sum(comb(top + 1, idx + 1) for top, idx in bisect_representation(a, i))
+
+
+def is_M_sequence_ref(seq) -> bool:
+    """Reference: the entry checks, then every growth bound in full."""
+    ls = list(seq)
+    if not ls or ls[0] != 1:
+        return False
+    if any(not isinstance(x, int) or x < 0 for x in ls):
+        return False
+    return all(ls[i + 1] <= bound_ref(ls[i], i) for i in range(1, len(ls) - 1))
+
+
+def test_bisect_representation_matches_linear_scan():
+    for i in range(1, 9):
+        for a in boundary_values(i):
+            assert bisect_representation(a, i) == linear_scan_representation(a, i), (a, i)
 
 
 def test_macaulay_representation_of_huge_values():
@@ -115,6 +175,40 @@ def test_is_M_sequence():
     assert is_M_sequence((1,))
     # l_1 itself is unconstrained by the growth chain
     assert is_M_sequence((1, 99, 100))
+
+
+def test_is_M_sequence_on_every_small_sequence():
+    for tail in product(range(8), repeat=5):
+        seq = (1, *tail)
+        assert is_M_sequence(seq) == is_M_sequence_ref(seq), seq
+
+
+@given(st.integers(0, 40) | st.integers(0, 10**30),
+       st.lists(st.integers(-3, 1) | st.integers(-10**30, 0), max_size=58))
+@example(10**30, [0] * 58)
+@example(7, [0] * 40 + [1])
+@example(0, [0, 1])
+def test_is_M_sequence_near_the_boundary(l1, shifts):
+    # each entry is the previous one's growth bound moved by a shift, the
+    # small shifts landing on either side of it, clamped to 0..10**30
+    seq = [1, l1]
+    for shift in shifts:
+        seq.append(min(max(bound_ref(seq[-1], len(seq) - 1) + shift, 0), 10**30))
+    assert is_M_sequence(seq) == is_M_sequence_ref(seq), seq
+
+
+ODD_ENTRIES = st.sampled_from([True, False, -1, -10**30, 1.0, 2.5, None, "1", Fraction(1)])
+
+
+@given(st.lists(st.integers(0, 9) | ODD_ENTRIES, max_size=8), st.booleans())
+@example([True, 3, 3], False)
+@example([3, 4], True)
+@example([3, -1], True)
+@example([3, 4.0], True)
+def test_is_M_sequence_entry_checks_match(entries, lead):
+    seq = [1, *entries] if lead else entries
+    assert is_M_sequence(seq) == is_M_sequence_ref(seq), seq
+    assert is_M_sequence(tuple(seq)) == is_M_sequence(iter(seq))
 
 
 def test_alpha_sequence_examples():
@@ -164,11 +258,74 @@ def test_p_polynomial_pascal_recursion():
 
 
 def test_p_coefficients_are_sigma():
-    for n in range(3, 10):
+    for n in range(2, 41):
         for d in range(1, n):
             a = alpha_sequence(n, d)
             assert p_polynomial(n, d).coeffs == a.sigma[:-1]
             assert a.sigma[-1] == 0
+
+
+def lsequence_ref(n: int, d: int, lam) -> tuple[int, ...]:
+    """Reference: the tails of lambda summed one entry at a time."""
+    lam = list(lam)
+    if any(not isinstance(x, int) or x < 0 for x in lam):
+        raise ValueError("lambda entries must be non-negative integers")
+    while lam and lam[-1] == 0:
+        lam.pop()
+    if len(lam) > n - d:
+        raise UnrealizableLambda(
+            f"lambda_{len(lam)} > 0 needs more than n - d = {n - d} deletions "
+            "of distinct sizes; only the complete clutter reaches index "
+            f"{n - d + 1}, and it is excluded here")
+    full = lam + [0] * (n - d + 1 - len(lam))
+    sig = [binom(n - 1 - k, d - 1) for k in range(n - d + 2)]
+    out = []
+    tail = 0
+    for k in range(n - d + 1):
+        j = n - d - k
+        tail += full[j]
+        lk = sig[j] - tail
+        if lk < 0:
+            raise UnrealizableLambda(f"l_{k} = {lk} < 0: lambda is not realizable")
+        out.append(lk)
+    return tuple(out)
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+def test_lsequence_from_lambda_matches_plain_loop_on_small_input():
+    # every lambda of length <= 3 with entries <= 7, on every (n, d) with n <= 6
+    for n in range(2, 7):
+        for d in range(1, n):
+            for size in range(4):
+                for lam in product(range(8), repeat=size):
+                    assert outcome(lsequence_from_lambda, n, d, lam) == \
+                        outcome(lsequence_ref, n, d, lam), (n, d, lam)
+
+
+@given(st.data(), st.integers(2, 40))
+def test_lsequence_from_lambda_matches_plain_loop(data, n):
+    d = data.draw(st.integers(1, n - 1))
+    top = comb(n - 1, d - 1) + 2
+    entry = (st.integers(0, 2) | st.integers(0, top) | st.integers(-2, 0)
+             | st.sampled_from([True, 1.0, None]))
+    lam = data.draw(st.lists(entry, max_size=n - d + 2))
+    assert outcome(lsequence_from_lambda, n, d, lam) == outcome(lsequence_ref, n, d, lam)
+
+
+def test_lsequence_from_lambda_checks_parameters_first():
+    for n, d in ((3, 4), (3, 3), (6, 0), (0, 0)):
+        for lam in ((), (1,), (1, 2, 3, 4, 5), (-1,)):
+            with pytest.raises(ValueError, match="^need 1 <= d < n, got ") as exc:
+                lsequence_from_lambda(n, d, lam)
+            assert type(exc.value) is ValueError
+            diag = validate_lambda(n, d, lam)
+            assert not diag.valid and diag.reason == f"need 1 <= d < n, got d={d}, n={n}"
 
 
 def test_lambda_from_lsequence_examples():
@@ -279,6 +436,17 @@ def test_lambda_max_and_profile_match_alpha_formulas():
             lambda_max(5, bad_d, 1)
         with pytest.raises(ValueError):
             extremal_lambda_profile(5, bad_d, 1)
+
+
+def test_profile_and_complete_match_binom_formulas():
+    for d in range(1, 13):
+        for n in range(d + 1, d + 30):
+            for i in range(1, n - d + 1):
+                ref = tuple(binom(n - 1 - j, d - 2) for j in range(1, i)) + (binom(n - i, d - 1),)
+                assert extremal_lambda_profile(n, d, i) == ref, (n, d, i)
+            if d >= 2:
+                ref = tuple(binom(n - 1 - i, d - 2) for i in range(1, n - d + 2))
+                assert complete_lambda(n, d) == ref, (n, d)
 
 
 @given(st.integers(4, 9), st.integers(1, 3), st.integers(0, 8), st.integers(0, 2**32))
