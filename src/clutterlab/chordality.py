@@ -288,7 +288,7 @@ from collections import Counter
 from collections.abc import Iterable, Iterator
 from functools import reduce
 from itertools import combinations, islice, repeat
-from operator import and_
+from operator import and_, itemgetter
 
 from .clutter import (
     Clutter,
@@ -343,11 +343,11 @@ class SimplicialOrder(Record):
 
     @property
     def elements(self) -> tuple[Vertices, ...]:
-        return tuple(e for e, _ in self.steps)
+        return tuple(map(itemgetter(0), self.steps))
 
     @property
     def neighborhood_sizes(self) -> tuple[int, ...]:
-        return tuple(s for _, s in self.steps)
+        return tuple(map(itemgetter(1), self.steps))
 
 
 # ----- the deletion state ---------------------------------------------------
@@ -584,8 +584,8 @@ def _deletion_sequences(live: _DeletionState, target: frozenset[int],
 
 
 def _order(steps: Iterable[tuple[int, int]]) -> SimplicialOrder:
-    return SimplicialOrder(
-        tuple((verts_of(e), nbr.bit_count()) for e, nbr in steps))
+    elements, nbrs = [*zip(*steps)] or ((), ())
+    return SimplicialOrder(tuple(zip(map(verts_of, elements), map(int.bit_count, nbrs))))
 
 
 def _greedy(live: _DeletionState, most: int | None = None) -> list[tuple[int, int]]:

@@ -275,10 +275,7 @@ def _add_arguments(parser, command: str, rule) -> None:
 
 
 def _order_block(order) -> dict:
-    return {
-        "elements": [list(e) for e in order.elements],
-        "neighborhood_sizes": list(order.neighborhood_sizes),
-    }
+    return {"elements": order.elements, "neighborhood_sizes": order.neighborhood_sizes}
 
 
 def _chordal_analysis(path: str, max_states: int | None) -> tuple[Clutter, dict]:

@@ -12,11 +12,12 @@ mask representation is an internal convention shared with the sibling
 modules.
 """
 
-import itertools
 from collections.abc import Iterable
-from operator import attrgetter
+from itertools import chain, combinations, repeat
+from operator import attrgetter, lt
 
 MAX_VERTICES = 64
+_BITS = tuple(1 << v >> 1 for v in range(MAX_VERTICES + 1))  # _BITS[v] = mask_of((v,))
 
 Vertices = tuple[int, ...]
 
@@ -104,7 +105,7 @@ class Clutter(Record):
 
     @property
     def circuits(self) -> tuple[Vertices, ...]:
-        return tuple(verts_of(m) for m in self.circuit_masks)
+        return tuple(map(verts_of, self.circuit_masks))
 
     @property
     def num_circuits(self) -> int:
@@ -187,8 +188,33 @@ def make_clutter(n: int, d: int, circuits: Iterable[Iterable[int]]) -> Clutter:
     the empty one.  Raises ValueError for non-positive parameters,
     vertices outside 1..n, circuits of the wrong cardinality, or
     n > MAX_VERTICES.
+
+    A non-empty list of lists, or of tuples, is built by passes over all
+    its rows at once.  Each row must hold d exact ints (no bools) within
+    1..n, checked by one set of types and by min and max.  A row's mask
+    is then the sum of its vertices' bits (_BITS[v] = mask_of((v,))).
+    Adding a power of two to a sum raises its popcount by one, less the
+    number of carries, so a sum of d powers of two has popcount d
+    exactly when no addition carries, that is, when no two are equal.
+    So every sum having popcount d shows that every row names d distinct
+    vertices and that its sum is its mask.  When the
+    rows also increase strictly within themselves and from row to row
+    (as clutter_to_text, generate and the JSON reports write them), each
+    row is verts_of of its mask and the rows are distinct and in
+    lexicographic order, so the masks are already in canonical order and
+    the sort is skipped.  Any other input, or a failed check, goes to the
+    per-circuit loop, which raises every error with its usual message.
     """
     _check_parameters(n, d)
+    if (type(circuits) is list and {*map(type, circuits)} in ({list}, {tuple})
+            and {*map(len, circuits)} == {d}
+            and {*map(type, flat := [*chain.from_iterable(circuits)])} == {int}
+            and 1 <= min(flat) and max(flat) <= n):
+        masks = [*map(sum, map(map, repeat(_BITS.__getitem__), circuits))]
+        if {*map(int.bit_count, masks)} == {d}:
+            ordered = all(map(lt, circuits, circuits[1:])) and all(
+                all(map(lt, flat[j::d], flat[j + 1::d])) for j in range(d - 1))
+            return Clutter(n, d, tuple(masks) if ordered else canonical_mask_order(masks))
     masks = []
     for circ in circuits:
         vs = tuple(circ)
@@ -233,7 +259,7 @@ def complete_clutter(n: int, d: int) -> Clutter:
     _check_parameters(n, d)
     if n < d:
         return Clutter(n, d, ())
-    masks = (mask_of(c) for c in itertools.combinations(range(1, n + 1), d))
+    masks = (mask_of(c) for c in combinations(range(1, n + 1), d))
     return Clutter(n, d, canonical_mask_order(masks))
 
 
@@ -247,7 +273,7 @@ def complement(clutter: Clutter) -> Clutter:
             f"complement needs n >= d, got n={clutter.n}, d={clutter.d}")
     have = clutter.mask_set()
     masks = [mask_of(c)
-             for c in itertools.combinations(range(1, clutter.n + 1), clutter.d)]
+             for c in combinations(range(1, clutter.n + 1), clutter.d)]
     return Clutter(clutter.n, clutter.d,
                    canonical_mask_order(m for m in masks if m not in have))
 
@@ -307,7 +333,7 @@ def mask_is_clique(circuit_set: frozenset[int] | set[int], vmask: int, d: int) -
         bits.append(low)
         vmask ^= low
     # distinct single bits: their sum is the mask of the d-subset
-    for sub in itertools.combinations(bits, d):
+    for sub in combinations(bits, d):
         if sum(sub) not in circuit_set:
             return False
     return True

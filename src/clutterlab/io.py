@@ -8,15 +8,25 @@ is "{" is parsed as the JSON form instead:
 
     {"n": 5, "d": 3, "circuits": [[1, 2, 3], [1, 4, 5]]}
 
+Files are read as UTF-8, after a byte order mark if there is one.
 Parse failures raise ClutterParseError carrying the offending line
 number where there is one; so do a file that is not UTF-8 and JSON
 nested too deeply, or holding an integer too long, for Python to load.
+
+Text with no "#" is read in one pass over the whole text: its lines
+split into tokens, blank ones dropped, every token read by int, and one
+set of row widths checked against the header's d.  Text that fails any
+of these checks, or holds a "#", goes to the per-line loop, the one
+path that names a fault and its line.  Both paths, and the JSON form,
+build the clutter with make_clutter, whose own fast path and fallback
+are described there.
 
 Reports are written by dumps_report, which returns what
 json.dumps(value, indent=2) returns, byte for byte.
 """
 
 import json
+from itertools import chain, islice, repeat
 from json.encoder import encode_basestring_ascii
 
 from .clutter import Clutter, make_clutter
@@ -43,9 +53,10 @@ def clutter_from_json_dict(obj: object) -> Clutter:
     # JSON true/false load as bool, a subclass of int; neither is a number here.
     if any(not isinstance(x, int) or isinstance(x, bool) for x in (n, d)):
         raise ClutterParseError("JSON clutter n and d must be integers")
-    if not isinstance(circuits, list) or not all(isinstance(c, list) for c in circuits):
+    if not isinstance(circuits, list) or not all(map(isinstance, circuits, repeat(list))):
         raise ClutterParseError("JSON clutter circuits must be a list of lists")
-    if any(not isinstance(v, int) or isinstance(v, bool) for c in circuits for v in c):
+    kinds = {*map(type, chain.from_iterable(circuits))}
+    if bool in kinds or not all(map(issubclass, kinds, repeat(int))):
         raise ClutterParseError("JSON clutter vertices must be integers")
     try:
         return make_clutter(n, d, circuits)
@@ -57,7 +68,7 @@ def clutter_to_json_dict(clutter: Clutter) -> dict[str, object]:
     return {
         "n": clutter.n,
         "d": clutter.d,
-        "circuits": [list(c) for c in clutter.circuits],
+        "circuits": [*map(list, clutter.circuits)],
     }
 
 
@@ -72,6 +83,13 @@ def parse_clutter(text: str) -> Clutter:
         except (RecursionError, ValueError) as exc:  # too deep, or an int too long
             raise ClutterParseError(f"invalid JSON: {exc}") from exc
         return clutter_from_json_dict(obj)
+    if "#" not in text and (rows := [*filter(None, map(str.split, text.splitlines()))]):
+        try:
+            n, d, *values = map(int, chain.from_iterable(rows))
+            if len(rows[0]) == 2 and {*map(len, islice(rows, 1, None))} <= {d}:
+                return make_clutter(n, d, [*zip(*[iter(values)] * d)] if values else [])
+        except ValueError:
+            pass  # the line loop below raises the same error, with its line
 
     header: tuple[int, int] | None = None
     circuits: list[list[int]] = []
@@ -104,7 +122,7 @@ def parse_clutter(text: str) -> Clutter:
 
 def parse_clutter_file(path: str) -> Clutter:
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             text = fh.read()
     except OSError as exc:
         raise ClutterParseError(f"cannot read {path}: {exc.strerror}") from exc
@@ -133,13 +151,16 @@ def dumps_report(value: object) -> str:
     With indent set, json.dumps runs the pure-Python encoder, which
     yields a few pieces per value.  This writer walks non-empty lists,
     tuples and str-keyed dicts itself, as that encoder does, and writes
-    a list of exact ints, the bulk of a report, with a single join.  Any
-    other container (empty, a subclass, a dict with a key that is not a
-    str) goes whole to json.dumps(value, indent=2), its lines shifted to
-    the current depth; a JSON string holds no raw newline, so every
-    newline it writes starts a line.  It writes true, false and null
-    itself, and every other scalar goes to json.dumps, which writes a
-    scalar on one line whatever the indent.
+    the bulk of a report in single passes: a list of exact ints with one
+    join, and a list or tuple of equal-width, non-empty lists or tuples
+    of exact ints (the echoed circuits, the order's elements) as one
+    "%d" row template, repeated by one join and filled by one %-format
+    over all the ints.  Any other container (empty, a subclass, a dict
+    with a key that is not a str) goes whole to json.dumps(value,
+    indent=2), its lines shifted to the current depth; a JSON string
+    holds no raw newline, so every newline it writes starts a line.  It
+    writes true, false and null itself, and every other scalar goes to
+    json.dumps, which writes a scalar on one line whatever the indent.
     """
     out: list[str] = []
     _write(value, "\n", out)
@@ -155,8 +176,14 @@ def _write(value: object, newline: str, out: list[str]) -> None:
         out.append(int.__repr__(value))
     elif (kind is list or kind is tuple) and value:
         inner = newline + "  "
-        if {*map(type, value)} == {int}:
+        if (kinds := {*map(type, value)}) == {int}:
             out.append(f"[{inner}{(',' + inner).join(map(int.__repr__, value))}{newline}]")
+            return
+        if (kinds <= {list, tuple} and len(widths := {*map(len, value)}) == 1
+                and {*map(type, chain.from_iterable(value))} == {int}):
+            row = f"[{inner}  {(',' + inner + '  ').join(['%d'] * widths.pop())}{inner}]"
+            rows = (',' + inner).join([row] * len(value))
+            out.append(f"[{inner}{rows}{newline}]" % tuple(chain.from_iterable(value)))
             return
         sep = "[" + inner
         for item in value:

@@ -120,6 +120,20 @@ def test_malformed_files_are_bad_input(tmp_path, capsys, name, data, message):
         assert err.startswith("error: ") and message in err
 
 
+@pytest.mark.parametrize("name", ["bom.txt", "bom.json"])
+def test_check_reads_a_utf8_byte_order_mark(tmp_path, capsys, name):
+    plain = tmp_path / "plain.txt"
+    plain.write_text(EX_TEXT)
+    code, report, err = run(capsys, "check", str(plain), "--json")
+    assert (code, err) == (0, "")
+    # the same clutter, as text or as the report's JSON input, after EF BB BF;
+    # such a file used to exit 64 with "non-integer token in '\ufeff5 3'"
+    data = EX_TEXT if name == "bom.txt" else json.dumps(json.loads(report)["input"])
+    bom = tmp_path / name
+    bom.write_bytes(b"\xef\xbb\xbf" + data.encode())
+    assert run(capsys, "check", str(bom), "--json") == (0, report, "")
+
+
 def test_check_rejects_json_booleans(tmp_path, capsys):
     bad = tmp_path / "bool.json"
     bad.write_text('{"n": true, "d": true, "circuits": [[true]]}')

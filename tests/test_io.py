@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from enum import IntEnum
 from itertools import combinations
 
 import pytest
@@ -88,8 +89,24 @@ def test_clutter_json_is_written_as_json_dumps_writes_it(c):
 # into strings, which it hands whole to json.dumps(..., indent=2).
 INTS = st.integers() | st.integers(-2**300, 2**300)
 STRINGS = st.text(st.characters(blacklist_categories=()))
+
+
+class Flag(IntEnum):
+    OFF = 0
+    ON = 1
+
+
+# Row-shaped values: lists and tuples of equal-width exact-int rows, the
+# writer's row branch, and rows that must miss it: ragged, empty, or
+# holding a bool, an IntEnum or a float.
+ROW_CELLS = INTS | st.booleans() | st.sampled_from(Flag) | st.floats(allow_nan=False)
+ROWS = st.integers(0, 4).flatmap(lambda width: st.lists(
+    st.lists(INTS, min_size=width, max_size=width)
+    | st.lists(INTS, min_size=width, max_size=width).map(tuple)
+    | st.lists(ROW_CELLS, min_size=width, max_size=width), min_size=1))
 LEAVES = (st.none() | st.booleans() | INTS | STRINGS | st.floats()
-          | st.lists(INTS | st.booleans()))
+          | st.lists(INTS | st.booleans()) | ROWS | ROWS.map(tuple)
+          | st.lists(st.lists(INTS, max_size=3), min_size=1))
 KEYS = STRINGS | INTS | st.none() | st.booleans() | st.floats()
 REPORTS = st.recursive(
     LEAVES,
@@ -119,6 +136,22 @@ class DictSubclass(dict):
 @example([[True, 1.0, 1], [False, 0.0, -0.0, 0], [None, [1, 2], [True, [False, None]]]])
 @example({"a": [[1.0, True], {"b": [0.0, False, -0.0, None]}], "c": [[1, 2], [3]]})
 @example(({"valid": True, "l_sequence": None, "reason": None}, [[-0.0, 1], (True, 1.0)]))
+# rows of exact ints, as lists and tuples, at depth 0, 1 and 2 and deeper
+@example([[1, 2, 3], [1, 2, 4], [2, 3, 4]])
+@example(((1, 2), [3, 4], (5, 6)))
+@example({"input": {"circuits": [[1, 2], [2, 3]]}, "order": {"elements": ((1,), (2,))}})
+@example([[[1, 2], [3, 4]], [[5, 6], [7, 8]]])
+@example([[[[1, 2]], [[3, 4]]]])
+# ragged rows, empty rows, and rows holding True, an IntEnum or a float
+@example([[1, 2], [3]])
+@example([[], []])
+@example([[1], [], [2]])
+@example([[1, True], [2, 3]])
+@example([[True, False], [False, True]])
+@example([[Flag.ON, 2], [3, 4]])
+@example([[1.0, 2], [3, 4]])
+# ints beyond 2**300
+@example([[2**301, -2**302], [10**100, -1]])
 def test_report_writer_is_json_dumps(value):
     assert dumps_report(value) == json.dumps(value, indent=2)
 
@@ -175,6 +208,17 @@ def test_parse_file(tmp_path):
     jpath = tmp_path / "c.json"
     jpath.write_text(clutter_to_json(EX))
     assert parse_clutter_file(jpath) == EX
+
+
+def test_parse_file_skips_a_utf8_byte_order_mark(tmp_path):
+    for name, data in (("bom.txt", TEXT), ("bom.json", clutter_to_json(EX))):
+        path = tmp_path / name
+        path.write_bytes(b"\xef\xbb\xbf" + data.encode())
+        assert parse_clutter_file(path) == EX
+    # only the first one is a byte order mark; a second is a token
+    path.write_bytes(b"\xef\xbb\xbf" * 2 + TEXT.encode())
+    with pytest.raises(ClutterParseError, match="non-integer token"):
+        parse_clutter_file(path)
 
 
 def test_parse_file_errors_name_the_file(tmp_path):
