@@ -27,12 +27,12 @@ none.  Building the state runs no clique test; its frontier is 0.
   moves just above it.  An element emptied by other deletions before
   the frontier reaches it is never tested.
 * Settling tests every element in the map from the frontier rank up,
-  in any order, which makes every flag exact.  The driver, candidates()
-  and simplicial_elements settle first.  A deletion keeps the frontier
-  where it is, and an undo restores the frontier of its deletion, so
-  the driver deletes only in settled states: a state's next untried
-  candidate is its lowest flag above the rank last tried, and no state
-  sorts its candidates.
+  which makes every flag exact.  The driver, candidates() and
+  simplicial_elements settle first.  A deletion keeps the frontier
+  where it is, so a settled state stays settled, and the driver deletes
+  and undoes only in settled states: a state's next untried candidate
+  is its lowest flag above the rank last tried, and no state sorts its
+  candidates.
 
 Deleting e updates the state in place and records what changed, so the
 deletion can be undone; the update rule and its soundness are below.
@@ -76,9 +76,9 @@ The decision search.  find_simplicial_order builds one deletion state
 for the whole input and runs greedy on it.  A completed run's order is
 the witness, for every d; a stuck run decides "not chordal" for d = 2;
 only a stuck run for other d goes on to split the input into its
-(d-1)-components, on the same state.  Its state budget counts what the
-driver would expand run once per component: one state per greedy step
-when greedy completes.
+(d-1)-components.  Its state budget counts what the driver would
+expand run once per component: one state per greedy step when greedy
+completes.
 
 * Greedy's order is the witness.  On the whole input, the driver's
   first descent takes the lex-first simplicial element in every state:
@@ -136,38 +136,31 @@ when greedy completes.
   step emptied the input), so it raises as the full run would.  For
   d >= 3 a cut run with circuits left takes the stuck path, whose rule
   below holds for any prefix of greedy's run.
-* The stuck path, for d >= 3.  Greedy's deletions are undone, each at
-  the cost of what it touched, which restores the start state, and the
-  components are read off its neighborhood map.  A component that
-  greedy emptied had its own greedy run complete, so its driver would
-  expand one state per greedy step in it and yield those steps: it is
-  charged them, and they are its witness.  Every other component runs
-  the driver on a slice of the state: its circuits and its part of the
-  map, the global ranks, and flags restricted to its ranks below a
-  frontier.  By the component bullet, its elements are simplicial in
-  the whole input exactly when they are in the component alone, so the
-  settled slice is the state a build on the component alone would
-  make, numbered in the same rank order, and the driver does on it
-  what it would do on that state.  No element is tested twice where one
-  test would do.  A component in which greedy took no step keeps its
-  start circuits and map in the stuck state, because deletions in other
-  components never touch it, so its flags there are its start flags:
-  its slice takes the stuck state's flags below the stuck state's
-  frontier and tests nothing again.  A run that got stuck has settled
-  its state on the way (its last upward test passed no rank), so that
-  is every flag; a run cut short by the budget leaves the rest of the
-  component to the slice's own settling.  A component greedy stepped in
-  takes the start state's flags, exact below the frontier greedy's
-  first deletion left, and settles itself, testing only its own
-  elements.  Settling the whole start state after the undo instead would
-  test every element from that frontier up once more, in the emptied
-  components and the stuck ones alike.  The components are taken in the
-  order of their lex-first circuits, as a search run once per component
-  takes them, so the charges add up in the same order.  The first
-  component whose driver fails answers None.  Otherwise the witnesses are merged
-  by global rank, which is lex order.  A prefix of greedy's run that
-  empties a component holds that component's whole greedy run, so the
-  rule does not need greedy to have got stuck.
+* The stuck path, for d >= 3.  Greedy's deletions stay.  The components
+  are read off the input's own neighborhood map and taken in the order
+  of their lex-first circuits, as a search run once per component
+  takes them, so the charges add up in the same order.  Each one takes
+  the first of three rules that applies.  A component that greedy
+  emptied had its own greedy run complete, so its driver would expand
+  one state per greedy step in it and yield those steps: it is charged
+  them, and they are its witness.  A component in which greedy took no
+  step keeps its start circuits in the stuck state, because deletions
+  in other components never touch it.  When that state is settled (no
+  flag set, the frontier past every rank, as a run that got stuck
+  leaves it: its last upward test passed no rank), each of the
+  component's elements was tested there and is not simplicial.  By the
+  component bullet it is not simplicial in the component alone either,
+  so the driver would expand the component's start state, find no
+  candidate and fail: the component is charged one state and answers
+  None, with no state built.  Every other component left, one greedy
+  stepped in or one a budget cut greedy short of testing, runs the
+  driver on a fresh deletion state of its circuits: the state a search
+  run once per component builds, so the driver does what it does
+  there.  The first component that fails answers None.  Otherwise the
+  witnesses are merged by global rank, which is lex order.  A prefix
+  of greedy's run that empties a component holds that component's
+  whole greedy run, so the rule does not need greedy to have got
+  stuck.
 * What is left exponential.  The memo still visits every reachable
   state of one component.  A non-chordal core with simplicial ears that
   share a (d-1)-set with it forms one component, so for d >= 3 such an
@@ -270,18 +263,13 @@ for the closed ones.
   nbrs.get(g, 0), and a present 0 and an absent entry both read as
   "no neighbors", which is what C' says.
 
-Why an undo is exact below its frontier.  An undo restores the removed
-circuits (again read off N(e)) and the saved old neighborhoods, and
-flips back the flags the deletion flipped, all of them below the
-frontier F the deletion ran at, which its record carries.  When the
-deletion is undone, the state is again the one the deletion left, with
-its flags exact below some frontier at or above F (later steps only
-move it up, and later undos restore theirs).  Below F the exact flags
-of that state are what the deletion computed, so flipping back gives
-the flags from before the deletion.  From F up, the flags were tested
-in states that no longer exist, so undo clears them and restores F.
-The driver deletes only in settled states, whose frontier is past
-every rank, so for the driver that mask clears nothing.
+Why an undo is exact.  An undo restores the removed circuits (again
+read off N(e)) and the saved old neighborhoods, and flips back the
+flags the deletion flipped.  Only the driver undoes, and it deletes
+only in settled states.  When a deletion is undone, every later one
+has been undone first, so the state is again the settled one the
+deletion left, whose flags are exactly what the deletion computed, and
+flipping back gives the exact flags from before the deletion.
 """
 
 from collections import Counter
@@ -369,7 +357,8 @@ class _DeletionState:
     delete(e) removes every circuit containing e, for a simplicial e (the
     only kind any search deletes), and updates the neighborhood map and
     the flags by the rule in the module docstring; undo() reverts the
-    latest deletion not yet undone.  Elements are numbered by lex rank
+    latest deletion not yet undone, which must have run in a settled
+    state, as the driver's deletions do.  Elements are numbered by lex rank
     (by_rank lists them, rank maps back), and flags is a bit mask over
     those ranks.  Flags are exact below the frontier rank and absent from
     it up: no clique test runs until settle() asks for one, and it tests
@@ -385,9 +374,8 @@ class _DeletionState:
         self.by_rank = sorted(nbrs, key=verts_of)
         self.rank = {e: r for r, e in enumerate(self.by_rank)}
         self.flags = self.frontier = 0
-        # Per deletion: (e, N(e), old N(f) of every shrunk f, flipped
-        # flags, the frontier).
-        self._undo: list[tuple[int, int, dict[int, int], int, int]] = []
+        # Per deletion: (e, N(e), old N(f) of every shrunk f, flipped flags).
+        self._undo: list[tuple[int, int, dict[int, int], int]] = []
 
     def candidates(self) -> list[int]:
         """The simplicial element masks, lex sorted by vertex tuple.
@@ -399,27 +387,20 @@ class _DeletionState:
     def settle(self, first: bool = False) -> int:
         """Clique-test the elements from the frontier up; return the flags.
 
-        Every flag is exact afterwards.  With first set, the tests run up
-        the ranks and stop at the first element that passes, with the
-        frontier just above it; a rank whose element is not in the map,
-        emptied or (in a slice) of another component, is skipped without
-        a test.  Without it, the tests run over the map's own elements,
-        in map order, so a slice walks only its component.
+        The tests run up the ranks, and a rank whose element has left the
+        map is skipped without a test.  Every flag is exact afterwards,
+        unless first is set: then the tests stop at the first element that
+        passes, with the frontier just above it.
         """
-        nbrs, by_rank, frontier = self.nbrs, self.by_rank, self.frontier
-        if first:
-            for r in range(frontier, len(by_rank)):
-                f = by_rank[r]
-                nbr = nbrs.get(f)
-                if nbr and self._closed_is_clique(f, nbr):
-                    self.flags |= 1 << r
+        nbrs, by_rank = self.nbrs, self.by_rank
+        for r in range(self.frontier, len(by_rank)):
+            f = by_rank[r]
+            nbr = nbrs.get(f)
+            if nbr and self._closed_is_clique(f, nbr):
+                self.flags |= 1 << r
+                if first:
                     self.frontier = r + 1
                     return self.flags
-        else:
-            rank = self.rank
-            for f, nbr in nbrs.items():
-                if rank[f] >= frontier and self._closed_is_clique(f, nbr):
-                    self.flags |= 1 << rank[f]
         self.frontier = len(by_rank)
         return self.flags
 
@@ -475,32 +456,13 @@ class _DeletionState:
                 if (f & gone).bit_count() > 1:
                     flipped |= flags & 1 << rank[f]
         self.flags ^= flipped
-        self._undo.append((e, gone, old, flipped, frontier))
+        self._undo.append((e, gone, old, flipped))
 
     def undo(self) -> None:
-        e, gone, old, flipped, frontier = self._undo.pop()
+        e, gone, old, flipped = self._undo.pop()
         self.circuits.update(_circuits_through(e, gone))
         self.nbrs.update(old)
-        self.flags = (self.flags ^ flipped) & ~(-1 << frontier)
-        self.frontier = frontier
-
-    def sliced(self, circuits: set[int], nbrs: dict[int, int],
-               ranks: int) -> "_DeletionState":
-        """The state of one (d-1)-component, as _components lists it.
-
-        The slice owns its circuits and map, and shares the ranks, so its
-        flags are this state's masked to the component's ranks, below the
-        same frontier: no clique test runs again.  Settling the slice
-        walks only its own elements, the ones in its map.
-        find_simplicial_order may set its flags and frontier from another
-        state of the same component.
-        """
-        part = object.__new__(type(self))
-        part.d, part.rank, part.by_rank = self.d, self.rank, self.by_rank
-        part.circuits, part.nbrs = circuits, nbrs
-        part.flags, part.frontier = self.flags & ranks, self.frontier
-        part._undo = []
-        return part
+        self.flags ^= flipped
 
 
 def simplicial_elements(clutter: Clutter) -> frozenset[Vertices]:
@@ -605,27 +567,26 @@ def _greedy(live: _DeletionState, most: int | None = None) -> list[tuple[int, in
     return steps
 
 
-def _components(live: _DeletionState
-                ) -> Iterator[tuple[int, set[int], dict[int, int]]]:
-    """The (d-1)-components of live, in the order of their lex-first circuits.
+def _components(nbrs: dict[int, int], rank: dict[int, int]
+                ) -> Iterator[tuple[int, set[int]]]:
+    """The (d-1)-components of the circuits nbrs maps, lex-first circuit first.
 
     Two circuits are joined when they share d-1 vertices, that is, when
     both contain the same (d-1)-set.  Each component comes as the mask of
-    its elements' ranks, its circuits and its part of the neighborhood
-    map, in rank order of its lex-first element, which is the lex-first
-    (d-1)-subset of its lex-first circuit.
+    its elements' ranks and its circuits, in rank order of its lex-first
+    element, which is the lex-first (d-1)-subset of its lex-first circuit.
+    rank lists every element of nbrs in rank order, as a deletion state
+    of the same circuits numbers them.  The components take nbrs's entries
+    out as they go, so it ends empty.
     """
-    pool = dict(live.nbrs)
-    rank = live.rank
-    for first in live.by_rank:
-        if first not in pool:
+    for first in rank:
+        if first not in nbrs:
             continue
-        ranks, circuits, nbrs = 0, set(), {first: pool.pop(first)}
-        todo = [first]
+        ranks, circuits, todo = 0, set(), [(first, nbrs.pop(first))]
         while todo:
-            f = todo.pop()
+            f, nbr = todo.pop()
             ranks |= 1 << rank[f]
-            for m in _circuits_through(f, nbrs[f]):
+            for m in _circuits_through(f, nbr):
                 if m in circuits:
                     continue
                 circuits.add(m)
@@ -634,10 +595,9 @@ def _components(live: _DeletionState
                     low = rest & -rest
                     rest ^= low
                     g = m ^ low
-                    if g in pool:
-                        nbrs[g] = pool.pop(g)
-                        todo.append(g)
-        yield ranks, circuits, nbrs
+                    if g in nbrs:
+                        todo.append((g, nbrs.pop(g)))
+        yield ranks, circuits
 
 
 # ----- full decision procedure ---------------------------------------------
@@ -649,10 +609,13 @@ def find_simplicial_order(clutter: Clutter,
 
     None is a definitive negative.  Greedy deletion runs first; its order
     is the witness when it completes, and a stuck run decides "not
-    chordal" for d = 2.  Only a stuck run for other d decides the
-    components greedy did not empty with the backtracking driver (the
-    soundness arguments are in the module docstring).  With max_states
-    set, SearchLimitReached is raised once that many states have been
+    chordal" for d = 2.  After a stuck run for other d, each component
+    greedy did not empty is decided on its own: one that greedy took no
+    step in fails at once when greedy tested every element left and
+    found none simplicial, and the backtracking driver decides every
+    other one on a deletion state of its own (the soundness arguments
+    are in the module docstring).  With max_states set,
+    SearchLimitReached is raised once that many states have been
     expanded, leaving the question open: one state per greedy step (the
     state a d = 2 run gets stuck in included), and after a stuck run for
     other d, greedy's steps in each emptied component and the driver's
@@ -670,24 +633,22 @@ def find_simplicial_order(clutter: Clutter,
     rank = live.rank
     left = sum(1 << rank[f] for f in live.nbrs)
     taken = sum(1 << rank[e] for e, _ in steps)
-    # A component greedy took no step in has the same flags where greedy
-    # stopped as at the start (see the stuck-path bullet).
-    end_flags, end_frontier = live.flags, live.frontier
-    for _ in steps:
-        live.undo()
+    # Settled: every element left was tested, and none is simplicial.
+    settled = not live.flags and live.frontier == len(live.by_rank)
     stuck, witnesses = 0, []
-    for ranks, circuits, nbrs in _components(live):
-        if ranks & left:
-            part = live.sliced(circuits, nbrs, ranks)
-            if not ranks & taken:
-                part.flags, part.frontier = end_flags & ranks, end_frontier
+    for ranks, circuits in _components(neighborhood_map(clutter.circuit_masks), rank):
+        if not ranks & left:
+            budget.expand((ranks & taken).bit_count())
+        elif settled and not ranks & taken:
+            budget.expand()
+            return None
+        else:
+            part = _DeletionState(circuits, clutter.d)
             found = next(_deletion_sequences(part, frozenset(), budget), None)
             if found is None:
                 return None
             witnesses.append(found)
             stuck |= ranks
-        else:
-            budget.expand((ranks & taken).bit_count())
     witnesses.append(step for step in steps if not stuck >> rank[step[0]] & 1)
     import heapq  # only this path merges, so a completed search never loads it
     return _order(heapq.merge(*witnesses, key=lambda step: rank[step[0]]))

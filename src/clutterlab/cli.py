@@ -336,13 +336,13 @@ def cmd_invariants(args) -> int:
     want_all = not (args.want_f or args.want_h or args.want_betti)
     show_f = want_all or args.want_f
     show_betti = want_all or args.want_betti
-    report["delta"] = delta_from_multiset(d, ms)
-    report["multiplicity"] = multiplicity(clutter)
     # f and Betti are computed once; --verify compares the oracles with them.
-    if show_f or args.verify:
-        f = list(f_vector_from_multiset(n, d, ms))
-        if show_f:
-            report["f"] = f
+    # delta is f's top index: n, not d - 1, for an empty clutter with d > n + 1.
+    f = list(f_vector_from_multiset(n, d, ms))
+    report["delta"] = len(f) - 1
+    report["multiplicity"] = multiplicity(clutter)
+    if show_f:
+        report["f"] = f
     if want_all or args.want_h:
         report["h"] = list(h_vector_from_multiset(n, d, ms))
     if show_betti or args.verify:

@@ -255,27 +255,29 @@ def ideal_from_masks(n: int, masks: Iterable[int]) -> SquarefreeIdeal:
 
 
 def complete_clutter(n: int, d: int) -> Clutter:
-    """All d-subsets of [n] (empty when n < d)."""
+    """All d-subsets of [n] (empty when n < d).
+
+    combinations lists the d-subsets in lexicographic order, so their
+    masks come in canonical order and need no sort.
+    """
     _check_parameters(n, d)
-    if n < d:
-        return Clutter(n, d, ())
-    masks = (mask_of(c) for c in combinations(range(1, n + 1), d))
-    return Clutter(n, d, canonical_mask_order(masks))
+    return Clutter(n, d, tuple(map(mask_of, combinations(range(1, n + 1), d))))
 
 
 # ----- core operations ----------------------------------------------------
 
 
 def complement(clutter: Clutter) -> Clutter:
-    """The d-subsets of [n] that are not circuits.  Needs n >= d."""
-    if clutter.n < clutter.d:
-        raise ValueError(
-            f"complement needs n >= d, got n={clutter.n}, d={clutter.d}")
+    """The d-subsets of [n] that are not circuits.  Needs n >= d.
+
+    They keep the canonical order in which complete_clutter lists them.
+    """
+    n, d = clutter.n, clutter.d
+    if n < d:
+        raise ValueError(f"complement needs n >= d, got n={n}, d={d}")
     have = clutter.mask_set()
-    masks = [mask_of(c)
-             for c in combinations(range(1, clutter.n + 1), clutter.d)]
-    return Clutter(clutter.n, clutter.d,
-                   canonical_mask_order(m for m in masks if m not in have))
+    return Clutter(n, d, tuple(m for m in complete_clutter(n, d).circuit_masks
+                               if m not in have))
 
 
 def neighborhood_map(circuit_masks: Iterable[int]) -> dict[int, int]:

@@ -47,7 +47,10 @@ def _as_counts(multiset: Counter | Iterable[int]) -> Counter:
 def delta_from_multiset(d: int, multiset: Counter | Iterable[int]) -> int:
     """delta = dim + 1 of the clique complex: max size + d - 1.
 
-    The empty multiset (empty clutter) degenerates to delta = d - 1.
+    The empty multiset (empty clutter) degenerates to delta = d - 1,
+    which needs n >= d - 1.  On fewer vertices the complex is the whole
+    simplex on [n], with delta = n, the top index of
+    f_vector_from_multiset.
     """
     return max(_as_counts(multiset), default=0) + d - 1
 
@@ -118,11 +121,8 @@ def f_from_h(h: HVector, delta: int) -> FVector:
 
 def h_vector_from_multiset(n: int, d: int,
                            multiset: Counter | Iterable[int]) -> HVector:
-    """h-vector padded to its full delta + 1 entries, through h_from_f."""
-    counts = _as_counts(multiset)
-    delta = delta_from_multiset(d, counts)
-    f = f_vector_from_multiset(n, d, counts)
-    return h_from_f(f + (0,) * (delta + 1 - len(f)))
+    """h-vector through h_from_f: delta is the top index of the f-vector."""
+    return h_from_f(f_vector_from_multiset(n, d, multiset))
 
 
 # ----- Betti -----------------------------------------------------------------

@@ -29,7 +29,6 @@ from .clutter import (
     Record,
     SquarefreeIdeal,
     Vertices,
-    clutter_from_masks,
     ideal_from_masks,
     mask_of,
     verts_of,
@@ -334,12 +333,14 @@ def extremal_clutter(n: int, d: int, i: int) -> Clutter:
     """The clutter of d-subsets not contained in [n-i].
 
     Its circuit ideal is squarefree strongly stable and its
-    lambda-sequence matches extremal_lambda_profile(n, d, i).
+    lambda-sequence matches extremal_lambda_profile(n, d, i).  The
+    d-subsets come from combinations in lexicographic order, so their
+    masks are in canonical order and need no sort.
     """
     _check_index(n, d, i)
     cutoff = 1 << (n - i)  # masks below this live inside [n-i]
-    masks = [mask_of(c) for c in combinations(range(1, n + 1), d)]
-    return clutter_from_masks(n, d, (m for m in masks if m >= cutoff))
+    masks = map(mask_of, combinations(range(1, n + 1), d))
+    return Clutter(n, d, tuple(m for m in masks if m >= cutoff))
 
 
 def complete_lambda(n: int, d: int) -> tuple[int, ...]:

@@ -322,6 +322,17 @@ def test_invariants_path_graph(tmp_path, capsys):
     assert "betti: [3, 2]" in out
 
 
+def test_invariants_empty_clutter_on_too_few_vertices(tmp_path, capsys):
+    # No 5-subset of [3] exists, so the complex is the whole 2-simplex:
+    # delta is 3, not d - 1 = 4, and h is (1, 0, 0, 0).
+    p = tmp_path / "empty.txt"
+    p.write_text("3 5\n")
+    code, out, _ = run(capsys, "invariants", str(p), "--json")
+    assert code == 0
+    report = json.loads(out)
+    assert (report["f"], report["delta"], report["h"]) == ([1, 3, 3, 1], 3, [1, 0, 0, 0])
+
+
 def test_lambda_complete(capsys):
     code, out, _ = run(capsys, "lambda", "complete", "5", "3")
     assert code == 0

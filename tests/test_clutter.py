@@ -21,7 +21,8 @@ from clutterlab import (
     open_neighborhood,
     submaximal_circuits,
 )
-from clutterlab.clutter import mask_is_clique, mask_of, verts_of
+from clutterlab.clutter import clutter_from_masks, mask_is_clique, mask_of, verts_of
+from clutterlab.macaulay import extremal_clutter
 
 # the running worked example: chordal, five circuits on [5]
 EX = make_clutter(5, 3, [(1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4), (1, 4, 5)])
@@ -70,6 +71,21 @@ def test_complement():
     assert complement(complete_clutter(4, 3)).num_circuits == 0
     # involution
     assert complement(complement(EX)) == EX
+
+
+def test_generated_clutters_need_no_sort():
+    # complete_clutter, complement and extremal_clutter take their masks
+    # from combinations without a sort; each must equal its sorted form.
+    rng = random.Random("no-sort")
+    for n in range(1, 9):
+        for d in range(1, n + 2):
+            made = [complete_clutter(n, d)]
+            if n >= d:
+                half = [m for m in made[0].circuit_masks if rng.random() < 0.5]
+                made.append(complement(clutter_from_masks(n, d, half)))
+                made += [extremal_clutter(n, d, i) for i in range(1, n - d + 1)]
+            for c in made:
+                assert c == clutter_from_masks(n, d, c.circuit_masks), (n, d, c)
 
 
 def test_submaximal_circuits():

@@ -21,6 +21,7 @@ the decision cuts out of it for single components.
 
 from __future__ import annotations
 
+import contextlib
 import random
 import sys
 import time
@@ -337,7 +338,8 @@ def test_find_agrees_on_multi_component_clutters(n, d):
             picked(n, d, masks, rng.getrandbits(len(masks)))
         order = check_find(c)
         live = chordality._DeletionState(c.mask_set(), d)
-        seen[len(list(chordality._components(live))) > 1, order is not None] += 1
+        parts = chordality._components(dict(live.nbrs), live.rank)
+        seen[len(list(parts)) > 1, order is not None] += 1
     assert seen[True, True] + seen[True, False] >= 100
     assert seen[False, False] + seen[True, False] > 0 and seen[True, True] > 0
     # No 4-uniform clutter on [6] with two components is non-chordal
@@ -424,22 +426,16 @@ class CheckedState(chordality._DeletionState):
     filter of the previous set gives (for an undo: the set before the
     deletion), the neighborhood map must be neighborhood_map of the live
     set, and the candidates, with their neighborhoods, must be the
-    reference _simplicial_candidates in the same order.  A slice of one
-    component is checked in the same way from the moment it is cut, and
-    remembers the state it was cut from.
+    reference _simplicial_candidates in the same order.  A state that
+    find_simplicial_order builds for one component is checked in the same
+    way, and find_parts sets part_of to the state greedy ran on.
     """
 
-    sliced_from = None
+    part_of = None
 
     def __init__(self, circuits, d):
         super().__init__(circuits, d)
         self.begin()
-
-    def sliced(self, circuits, nbrs, ranks):
-        part = super().sliced(circuits, nbrs, ranks)
-        part.sliced_from = self
-        part.begin()
-        return part
 
     def begin(self) -> None:
         """Check the state as built, and take it as the start."""
@@ -470,7 +466,7 @@ class CheckedState(chordality._DeletionState):
 
 @pytest.fixture
 def checked_states(monkeypatch):
-    """Every deletion state the searches build or slice is checked; the list holds them."""
+    """Every deletion state the searches build is checked; the list holds them."""
     made: list[CheckedState] = []
 
     class Recorded(CheckedState):
@@ -482,24 +478,43 @@ def checked_states(monkeypatch):
     return made
 
 
+def find_parts(c: Clutter, made: list[CheckedState],
+               max_states: int | None = None) -> SimplicialOrder | None:
+    """find_simplicial_order(c, max_states) under checked states.
+
+    find builds one state, greedy's, for the whole input, and after a
+    stuck or cut run one fresh state per component it hands the driver;
+    each of those gets part_of set to greedy's, also when the budget
+    runs out.  A component's driver either yields its order, which
+    leaves its state empty, or fails after backing out of every
+    deletion, which leaves its state at the start and answers None at
+    once.
+    """
+    first = len(made)
+    try:
+        order = find_simplicial_order(c, max_states)
+    finally:
+        whole, *parts = made[first:]
+        for part in parts:
+            part.part_of = whole
+    for part in parts:
+        assert not part.circuits or (
+            order is None and part is parts[-1] and part.at_start()), c
+    return order
+
+
 def checked_searches(c: Clutter, made: list[CheckedState]) -> int:
     """Run greedy, find and co-chordality on c under checked states.
 
-    A search that answers None has run to its end, so its state must be
-    back at the start; for d != 2 find answers None in the slice of a
-    component, after undoing greedy on the state it was cut from.
-    Returns how many searches did.
+    A driver that answers None has run to its end, so its state must be
+    back at the start.  Returns how many of find and co-chordality
+    answered None.
     """
     greedy_simplicial_order(c)
-    ended = 0
-    for search in (find_simplicial_order, co_chordal_sequence):
-        if search(c) is None:
-            # for d = 2 find is the greedy loop, which never backs up
-            if search is co_chordal_sequence or c.d != 2:
-                assert made[-1].at_start(), c
-            if search is find_simplicial_order and c.d != 2:
-                assert made[-1].sliced_from.at_start(), c
-            ended += 1
+    ended = find_parts(c, made) is None
+    if co_chordal_sequence(c) is None:
+        assert made[-1].at_start(), c
+        ended += 1
     return ended
 
 
@@ -507,7 +522,7 @@ def checked_searches(c: Clutter, made: list[CheckedState]) -> int:
 def test_incremental_state_matches_recompute_exhaustively(n, d, checked_states):
     ended = sum(checked_searches(c, checked_states) for c in all_clutters(n, d))
     assert ended > 100
-    assert (d == 2) != any(state.sliced_from for state in checked_states)
+    assert (d == 2) != any(state.part_of for state in checked_states)
 
 
 def test_incremental_state_matches_recompute_on_random(checked_states):
@@ -523,9 +538,9 @@ def test_incremental_state_matches_recompute_on_random(checked_states):
 
 def test_slices_match_recompute_on_split_clutters(checked_states):
     # Several components, some of them emptied by greedy before it gets
-    # stuck, so slices are cut from states that hold other components'
-    # simplicial elements; the octahedron families, with reversed labels,
-    # put the stuck core after every ear.
+    # stuck or a small budget cuts it short, so the driver runs on states
+    # of one component each; the octahedron families, with reversed
+    # labels, put the stuck core after every ear.
     rng = random.Random("slices/7/3")
     clutters = [split_clutter(7, 3, rng) for _ in range(300)]
     for family in FAMILIES[2:]:
@@ -533,11 +548,12 @@ def test_slices_match_recompute_on_split_clutters(checked_states):
             n, circuits = family(k)
             clutters.append(make_clutter(n, 3, [[n + 1 - v for v in c] for c in circuits]))
     for c in clutters:
-        if find_simplicial_order(c) is None:
-            assert checked_states[-1].at_start(), c
-            assert checked_states[-1].sliced_from.at_start(), c
-    slices = [state for state in checked_states if state.sliced_from]
-    assert sum(state.start != state.sliced_from.start for state in slices) > 20
+        find_parts(c, checked_states)
+        for budget in (1, 2, 4):
+            with contextlib.suppress(SearchLimitReached):
+                find_parts(c, checked_states, budget)
+    parts = [state for state in checked_states if state.part_of]
+    assert sum(state.start != state.part_of.start for state in parts) > 20
 
 
 def test_drained_search_returns_the_state_to_its_start(checked_states):

@@ -39,6 +39,16 @@ def test_delta():
     assert delta_from_multiset(2, Counter({4: 2})) == 5
 
 
+def test_empty_clutters_match_their_complex():
+    # With d > n + 1 the complex of the empty clutter is the whole simplex
+    # on [n], so delta is n, not d - 1, and h is (1, 0, ..., 0).
+    for n in range(1, 7):
+        for d in range(1, n + 4):
+            f = f_vector_direct(make_clutter(n, d, []))
+            assert f_vector_from_multiset(n, d, ()) == f, (n, d)
+            assert h_vector_from_multiset(n, d, ()) == h_from_f(f), (n, d)
+
+
 def test_f_polynomial_worked_example():
     assert f_vector_from_multiset(5, 3, EX_MS) == (1, 5, 10, 5, 1)
 

@@ -4,12 +4,12 @@ EagerState below is the deletion state as it was before its flags
 became lazy: the constructor clique-tests every element, and a deletion
 re-tests every touched element that is not simplicial.  It is copied
 unchanged apart from its name, and its simplicial mask is exact in
-every state.  The lazy state must take the same greedy steps, its flags
-below the frontier must equal the eager flags masked to those ranks
-after every deletion and every undo, and undoing a lazy run and then
-settling must give the eager start flags.  The rest of the file pins how
-many clique tests the lazy state runs, and what the decision search
-hands its driver after a stuck greedy run.
+every state.  The lazy state must take the same greedy steps, and its
+flags below the frontier must equal the eager flags masked to those
+ranks after every test pass and every deletion, and after every undo of
+the driver, which backs out only of settled states.  The rest of the
+file pins how many clique tests the lazy state runs, and what the
+decision search hands its driver after a stuck greedy run.
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ from clutterlab import (
 )
 from clutterlab.clutter import mask_of, neighborhood_map, verts_of
 from clutterlab.generators import random_chordal_clutter
+from test_component_reference import component_first_find, outcome
 from test_deletion_driver import (
     FAMILIES,
     all_clutters,
@@ -186,28 +187,39 @@ class Lockstep(chordality._DeletionState):
 
 
 def lockstep(circuits: frozenset[int], d: int) -> int:
-    """Run greedy on a lazy state in lockstep with an eager one, then undo it.
+    """Run greedy on a lazy state in lockstep with an eager one.
 
     Returns the number of greedy steps.
     """
     lazy = Lockstep(circuits, d)
-    start = lazy.eager.simplicial
     assert (lazy.flags, lazy.frontier) == (0, 0)
     steps = chordality._greedy(lazy)
     assert steps == eager_greedy(EagerState(circuits, d))
     # a stuck or finished run has tested every live element
     assert lazy.frontier == len(lazy.by_rank)
-    for _ in steps:
-        lazy.undo()
-    assert lazy.circuits == circuits
-    assert lazy.settle() == start and lazy.frontier == len(lazy.by_rank)
     return len(steps)
+
+
+def drive_in_lockstep(circuits: frozenset[int], d: int) -> bool:
+    """Run the driver on a lazy state in lockstep with an eager one.
+
+    Returns whether it found no order.  Then it has backed out of every
+    deletion it made, each undo in a settled state, and the state is
+    back at its start.
+    """
+    lazy = Lockstep(circuits, d)
+    found = next(chordality._deletion_sequences(
+        lazy, frozenset(), chordality._StateBudget(None)), None)
+    assert found is not None or lazy.circuits == circuits
+    return found is None
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4])
 def test_lazy_flags_match_eager_on_every_5_vertex_clutter(d):
     steps = sum(lockstep(c.mask_set(), d) for c in all_clutters(5, d))
     assert steps > 0
+    failed = sum(drive_in_lockstep(c.mask_set(), d) for c in all_clutters(5, d))
+    assert failed > 0 or d in (1, 4)
 
 
 @pytest.mark.parametrize("n,d", [(n, d) for n in (6, 7, 8) for d in (2, 3, 4)])
@@ -267,8 +279,8 @@ def decide_split_inputs() -> None:
     """Decide split (7,3) samples and the octahedron families under small budgets.
 
     Greedy stopped early by a small budget leaves an unsettled state,
-    so components it took no step in get flags below that state's
-    frontier and test the rest themselves; stuck runs settle.
+    so every component left goes to the driver, those greedy took no
+    step in included; after a stuck run only those greedy stepped in do.
     """
     rng = random.Random("lazy-slices/7/3")
     clutters = [split_clutter(7, 3, rng) for _ in range(150)]
@@ -291,64 +303,43 @@ def test_slices_hold_their_components_simplicial_elements(driver_inputs):
         assert simplicial == frozenset(EagerState(circuits, d).candidates())
 
 
-def test_slices_test_only_their_own_elements(monkeypatch):
-    # A slice shares the ranks of the whole input; its settling must test
-    # none of the other components' elements.
-    # id of each slice -> the slice, kept alive so no id is reused, and its elements
-    own: dict[int, tuple[object, frozenset[int]]] = {}
-    foreign = []
-    sliced = chordality._DeletionState.sliced
-    test = chordality._DeletionState._closed_is_clique
-
-    def recorded(self, circuits, nbrs, ranks):
-        part = sliced(self, circuits, nbrs, ranks)
-        own[id(part)] = part, frozenset(nbrs)
-        return part
-
-    def checked(self, f, nbr):
-        if id(self) in own and f not in own[id(self)][1]:
-            foreign.append(f)
-        return test(self, f, nbr)
-
-    monkeypatch.setattr(chordality._DeletionState, "sliced", recorded)
-    monkeypatch.setattr(chordality._DeletionState, "_closed_is_clique", checked)
-    decide_split_inputs()
-    assert len(own) > 100
-    assert foreign == []
+def octahedron_with_ears_on_edge(k: int):
+    """The octahedron's 8 triangles plus k triangles {1, 3, 6 + j} (d = 3)."""
+    octa = [(a, b, c) for a in (1, 2) for b in (3, 4) for c in (5, 6)]
+    return 6 + k, octa + [(1, 3, 6 + j) for j in range(1, k + 1)]
 
 
-def test_slices_settle_without_walking_the_ranks(monkeypatch):
-    # The driver settles each slice in full, which walks the slice's own
-    # map: it reads no entry of by_rank, the ranks of the whole input.
-    settling, read, settled = [], [], []
-    settle = chordality._DeletionState.settle
-    sliced = chordality._DeletionState.sliced
+@pytest.mark.parametrize("k", range(1, 7))
+def test_stuck_path_after_greedy_steps_agrees_under_every_budget(k):
+    # The ears share the edge {1, 3} with the octahedron, so the input is
+    # one component.  Greedy deletes ears before it gets stuck, and the
+    # driver then decides the whole component on a fresh state: it meets
+    # each of the 2^k subsets of the ears once.
+    n, circuits = octahedron_with_ears_on_edge(k)
+    c = make_clutter(n, 3, circuits)
+    assert chordality.greedy_simplicial_order(c) is None
+    assert find_simplicial_order(c, 1 << k) is None
+    with pytest.raises(SearchLimitReached):
+        find_simplicial_order(c, (1 << k) - 1)
+    for budget in [None, *range((1 << k) + 2)]:
+        assert outcome(find_simplicial_order, c, budget) == \
+            outcome(component_first_find, c, budget), (k, budget)
 
-    class Ranks(list):
-        def __getitem__(self, r):
-            if settling:
-                read.append(r)
-            return list.__getitem__(self, r)
 
-    def recorded(self, circuits, nbrs, ranks):
-        part = sliced(self, circuits, nbrs, ranks)
-        part.by_rank = Ranks(part.by_rank)
-        return part
-
-    def watched(self, first=False):
-        if type(self.by_rank) is Ranks:
-            settled.append(first)
-        settling.append(self)
-        try:
-            return settle(self, first)
-        finally:
-            settling.pop()
-
-    monkeypatch.setattr(chordality._DeletionState, "sliced", recorded)
-    monkeypatch.setattr(chordality._DeletionState, "settle", watched)
-    decide_split_inputs()
-    assert len(settled) > 100 and not any(settled)
-    assert read == []
+def test_cut_greedy_leaves_untested_elements_to_the_driver():
+    # Under max_states = 1 greedy stops after two steps, (1,3) and (2,3),
+    # which empty the component {135, 235}.  No flag is set then, but
+    # (2,4) of the lex-first component {124, 126, 146}, which greedy took
+    # no step in, is above the frontier and untested.  That component is
+    # chordal, so only its driver may decide it: a stuck verdict would
+    # answer None where the search must run out of budget.
+    c = make_clutter(6, 3, [(1, 2, 4), (1, 2, 6), (1, 3, 5), (1, 4, 6), (2, 3, 5)])
+    live = chordality._DeletionState(c.mask_set(), 3)
+    assert [verts_of(e) for e, _ in chordality._greedy(live, 2)] == [(1, 3), (2, 3)]
+    assert live.flags == 0 and live.rank[mask_of((2, 4))] >= live.frontier
+    for budget in [None, *range(6)]:
+        assert outcome(find_simplicial_order, c, budget) == \
+            outcome(component_first_find, c, budget), budget
 
 
 # ----- clique-test counts -------------------------------------------------------------
@@ -356,22 +347,22 @@ def test_slices_settle_without_walking_the_ranks(monkeypatch):
 
 @pytest.fixture
 def clique_tests(monkeypatch):
-    """Every element clique-tested, in order; "undo" marks the first undo."""
+    """Every element clique-tested, in order; "greedy" marks where greedy stops."""
     tested: list = []
     test = chordality._DeletionState._closed_is_clique
-    undo = chordality._DeletionState.undo
+    greedy = chordality._greedy
 
     def counted(self, f, nbr):
         tested.append(f)
         return test(self, f, nbr)
 
-    def marked(self):
-        if "undo" not in tested:
-            tested.append("undo")
-        undo(self)
+    def marked(live, most=None):
+        steps = greedy(live, most)
+        tested.append("greedy")
+        return steps
 
     monkeypatch.setattr(chordality._DeletionState, "_closed_is_clique", counted)
-    monkeypatch.setattr(chordality._DeletionState, "undo", marked)
+    monkeypatch.setattr(chordality, "_greedy", marked)
     return tested
 
 
@@ -379,7 +370,7 @@ def count_tests(tested: list, clutter) -> int:
     """The clique tests find_simplicial_order runs on clutter."""
     tested.clear()
     find_simplicial_order(clutter)
-    return sum(f != "undo" for f in tested)
+    return sum(f != "greedy" for f in tested)
 
 
 def test_clique_test_counts_are_pinned(clique_tests):
@@ -390,22 +381,23 @@ def test_clique_test_counts_are_pinned(clique_tests):
     c = make_clutter(n, 3, [[n + 1 - v for v in t] for t in circuits])
     assert count_tests(clique_tests, c) == 31
     # The octahedron is last in lex order and greedy took no step in it:
-    # its slice takes its flags from the stuck state, with no new test.
+    # greedy tested its elements where it got stuck, and no clique test
+    # runs after greedy stops.
     octahedron = mask_of(range(n - 5, n + 1))
-    after = clique_tests[clique_tests.index("undo") + 1:]
-    assert not [f for f in after if f & octahedron == f]
+    assert clique_tests.index("greedy") == len(clique_tests) - 1
     assert any(f & octahedron == f for f in clique_tests)
 
 
-def test_cut_greedy_leaves_the_slice_its_tested_ranks(clique_tests):
-    # Under max_states = 1 greedy stops after two steps.  Undone, they
-    # leave the first element's rank tested, so the slice of K(30, 3)
-    # settles from rank 1 up: 436 tests in all, 462 with every element
-    # tested at construction.
+def test_cut_greedy_hands_the_driver_a_fresh_state(clique_tests):
+    # Under max_states = 1 greedy stops after two steps, with the ranks
+    # 0 and 1 tested.  The driver settles a fresh state of K(30, 3) from
+    # rank 0 up, so it tests rank 0 once more: 437 tests in all, 462 with
+    # every element tested at construction.
     clique_tests.clear()
     with pytest.raises(SearchLimitReached):
         find_simplicial_order(complete_clutter(30, 3), max_states=1)
-    assert len(clique_tests) - clique_tests.count("undo") == 436
+    assert clique_tests.count("greedy") == 1
+    assert len(clique_tests) - 1 == 437
 
 
 def test_benchmark_clique_test_counts(clique_tests, tmp_path):

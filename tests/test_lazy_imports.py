@@ -174,6 +174,6 @@ def test_tracer_wrappers_survive_each_commands_first_load(workdir):
     counts = ast.literal_eval(_run(code, workdir)[-2])
     assert counts["cli.main"] == 3
     assert counts["chordality.find_simplicial_order"] == 2
-    assert counts["invariants.delta_from_multiset"] == 1
+    assert counts["invariants.f_vector_from_multiset"] == 1
     assert counts["macaulay.validate_lambda"] == 1
     assert counts["macaulay.complete_lambda"] == 1

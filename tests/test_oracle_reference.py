@@ -51,7 +51,7 @@ from clutterlab import homology, invariants
 from clutterlab.clutter import Clutter, Vertices, mask_of, verts_of
 from clutterlab.guards import F_VECTOR_DEFAULT, FACES_DEFAULT, HOCHSTER_DEFAULT, check_cap
 from clutterlab.homology import FaceList, GradedBettiTable
-from clutterlab.invariants import _as_counts, _betti_from_expansion, delta_from_multiset
+from clutterlab.invariants import _as_counts, _betti_from_expansion
 from clutterlab.polynomials import IntPolynomial, binom
 
 # ----- reference: the oracle side ----------------------------------------------
@@ -391,27 +391,38 @@ def ref_h_polynomial_from_multiset(n: int, d: int,
                                    multiset: Counter | Iterable[int]) -> IntPolynomial:
     """h-polynomial straight from the multiset.
 
-    h(t) = sum_{i<d} C(n,i) t^i (1-t)^(top+d-1-i)
+    h(t) = sum_{i<d, i<=n} C(n,i) t^i (1-t)^(delta-i)
          + t^(d-1) * sum_k ((1-t)^(top-size_k) - (1-t)^top),
-    where top is the largest neighborhood size (0 when empty).
+    where top is the largest neighborhood size (0 when empty) and delta
+    is ref_delta's.
     """
     counts = _as_counts(multiset)
     if any(size > n - d + 1 for size in counts):
         raise ValueError("a neighborhood size exceeds n - d + 1")
     top = max(counts) if counts else 0
+    delta = ref_delta(n, d, counts)
     poly = IntPolynomial()
-    for i in range(d):
-        poly = poly + one_minus_t(top + d - 1 - i).scale(binom(n, i)).shift(i)
+    for i in range(min(d, n + 1)):
+        poly = poly + one_minus_t(delta - i).scale(binom(n, i)).shift(i)
     tail = IntPolynomial()
     for size, mult in counts.items():
         tail = tail + (one_minus_t(top - size) - one_minus_t(top)).scale(mult)
     return poly + tail.shift(d - 1)
 
 
+def ref_delta(n: int, d: int, multiset: Counter | Iterable[int]) -> int:
+    """dim + 1 of the clique complex: top + d - 1, and never above n.
+
+    A face has at most n vertices.  Only an empty clutter with d > n + 1
+    reaches that bound: its complex is the whole simplex on [n].
+    """
+    return min(max(_as_counts(multiset), default=0) + d - 1, n)
+
+
 def ref_h_vector_from_multiset(n: int, d: int,
                                multiset: Counter | Iterable[int]):
     """h-vector padded to its full delta + 1 entries."""
-    delta = delta_from_multiset(d, multiset)
+    delta = ref_delta(n, d, multiset)
     coeffs = ref_h_polynomial_from_multiset(n, d, multiset).coeffs
     if len(coeffs) > delta + 1:
         raise AssertionError("h-polynomial degree exceeds delta")
