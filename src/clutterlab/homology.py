@@ -30,26 +30,28 @@ equal, which checks at characteristic 2 that the resolution does not
 depend on the field.
 
 The clique complex on all n vertices and its GF(2) boundary rows are
-built once per call, each level grown from the one below it.  The
-subsets are then walked upward, each reached from itself minus its
-largest vertex: its complex is its parent's plus the faces through
-that vertex, and its GF(2) ranks come from the parent's XOR bases
-extended by those faces' rows, so no subset regrows a complex or
-re-ranks its parent's rows.  The walk reads only the faces of d or
-more vertices.  Every smaller set is a face, so the complex on a
-nonempty W holds the full (d-2)-skeleton of the simplex on W.  Over
-every field its reduced homology is then 0 below degree d - 2, and
-H~_{d-2} is C(|W|-1, d-1) minus the rank of W's size-d boundary rows;
-for d = 1 that reads H~_{-1} = 1 - r.  The empty subset, with
-H~_{-1} = 1 for every d, is the one exception, and it books nothing.
-All subset enumeration is exponential in n; the caps in guards.py
-apply.
+built once per call, each level grown from the one below it.  A sweep
+then keeps every vertex subset's GF(2) ranks and XOR bases in arrays
+indexed by its mask and fills them one block at a time: the subsets
+whose largest vertex is u start as a copy of their parents, the
+subsets below u, and take on the faces through u, each applied to
+every subset of the block that holds it.  A subset's complex is its
+parent's plus those faces and its bases are its parent's extended by
+their rows, so no subset regrows a complex or re-ranks its parent's
+rows.  The sweep reads only the faces of d or more vertices.  Every
+smaller set is a face, so the complex on a nonempty W holds the full
+(d-2)-skeleton of the simplex on W.  Over every field its reduced
+homology is then 0 below degree d - 2, and H~_{d-2} is C(|W|-1, d-1)
+minus the rank of W's size-d boundary rows; for d = 1 that reads
+H~_{-1} = 1 - r.  The empty subset, with H~_{-1} = 1 for every d, is
+the one exception, and it books nothing.  All subset enumeration is
+exponential in n; the caps in guards.py apply.
 """
 
-from bisect import bisect_left
 from collections.abc import Iterable
-from itertools import takewhile, zip_longest
+from itertools import compress, count, islice, takewhile, zip_longest
 from math import comb
+from operator import add
 
 from .clutter import Clutter, Record, verts_of
 from .guards import FACES_DEFAULT, HOCHSTER_DEFAULT, check_cap
@@ -268,12 +270,11 @@ def hochster_betti(clutter: Clutter, max_n: int | None = None,
     Builds the clique complex on all n vertices, unless `faces` passes
     it in (clique_complex_faces on 1..n, as `invariants --verify` builds
     it once for both oracles), and its GF(2) boundary rows once.  Then
-    it walks the vertex subsets upward from the empty set: W + u is
-    visited from W only for u > max W, so each nonempty subset is
-    reached exactly once, from itself minus its largest vertex.  A walk
-    entry is a parent W, and popping it builds all its children.
+    it sweeps arrays indexed by subset mask: hom[k][W] is W's GF(2)
+    homology rank in degree d - 2 + k, and bases[k][W] an XOR basis of
+    the span of W's size-(d + k) boundary rows.
 
-    The walk reads only faces of d or more vertices.  Every set of
+    The sweep reads only faces of d or more vertices.  Every set of
     fewer than d vertices is a face, so for |W| = m >= 1 the complex on
     W holds the full (d-2)-skeleton of the simplex on W.  Below degree
     d - 2 its cycles and boundaries are the simplex's, so over every
@@ -282,99 +283,116 @@ def hochster_betti(clutter: Clutter, max_n: int | None = None,
     dimension C(m-1, d-1); so H~_{d-2} = C(m-1, d-1) - r, with r the
     rank of W's size-d boundary rows.  For d = 1 this reads
     H~_{-1} = 1 - r.  The one exception is W = {} (m = 0), whose H~_{-1}
-    is 1 for every d.  It books nothing, and each child sets its rank in
-    degree d - 2 by the formula, so the walk starts it at all zeros.
+    is 1 for every d.  It books nothing, so its entries start at zero.
 
-    The faces of size >= d inside W + u that are not inside W are
-    exactly those of the full complex whose largest vertex is u and
-    that lie in W + u: such a face contains u, so it is not inside W,
-    and a face inside W + u that contains u has u as its largest
-    vertex.  So each level's boundary rows are W's rows plus the new
-    faces' rows.  Inserting rows into an XOR basis of the span of W's
-    rows gives a basis of the span of all of them, so a level's
-    boundary rank is the size of its extended basis.  A level's basis
-    is copied only when a new row is reduced against it.  The columns
-    keep _gf2_rows's numbering on the full complex, which changes no
-    rank.
+    The subsets whose largest vertex is u form the block [2^(u-1), 2^u),
+    and W in it has the parent P = W - u below the block.  The faces of
+    size >= d inside W that are not inside P are exactly those whose
+    largest vertex is u.  So block u starts as a copy of the arrays
+    below it, each W sharing P's bases and ranks; in degree d - 2 the
+    skeleton adds C(|P|, d-1) - C(|P|-1, d-1) = C(|P|-1, d-2) for
+    |P| >= 1.  Then each face whose largest vertex is u is applied, in
+    increasing size and within a size in the complex's lex order, to
+    every W of the block that holds it: W = face + s for s a submask of
+    the vertices below u outside the face, stepped in increasing order
+    as W -> (W + 1) | face.  Inserting rows into an XOR basis of the
+    span of P's rows gives a basis of the span of all of them, so a
+    level's boundary rank is the size of its extended basis.  A basis
+    stays shared with P until a row independent of it arrives, and it
+    is copied then.  The columns keep _gf2_rows's numbering on the full
+    complex, which changes no rank.
 
-    The new faces are added in increasing mask order, which puts every
-    face after its facets, so the faces added so far, with the
-    skeleton, always form a complex, whose ranks are kept current.  A
-    new size-k face's row is reduced only when that complex has
-    homology in degree k - 2, one below the face's own.  Its boundary is
-    a cycle; when the complex so far has no homology in that degree,
-    the cycle already bounds, so the row lies in the span of its level,
-    and the face raises the homology one degree up without a reduction.
-    A reduced row that turns out dependent raises the homology one
-    degree up all the same, so no rank depends on which rows are reduced.
-
-    Descendants of W add only vertices above max W, so each walk entry
-    carries just the faces a descendant can still add: those whose
-    largest vertex is above max W and whose other vertices up to max W
-    lie in W.  Moving on from child W + u to child W + u' with u' > u
-    drops the faces through u, which W + u' and its descendants skip.
+    A size-k face's row is reduced only when W's complex so far has
+    homology in degree k - 2, one below the face's own.  Within a block
+    every face of W smaller than k is in place before any face of size
+    k is applied: the faces inside P came with the copy, and those
+    through u are applied in increasing size.  So the faces applied so
+    far, with the skeleton, form a complex, whose ranks are kept
+    current, and the face's boundary is a cycle of it.  When that
+    complex has no homology in degree k - 2 the cycle already bounds,
+    so the row lies in the span of its level, and the face raises the
+    homology one degree up without a reduction.  A reduced row that
+    turns out dependent raises it all the same, so no rank depends on
+    which rows are reduced.  The lex order puts the faces through the
+    smallest vertex of W first, and on a simplex with d <= 2 it reduces
+    only independent rows.
 
     Each subset's reduced homology, certified over Q as in
     reduced_homology_ranks, books rank H~_{|W|-i-2} into entry (i, |W|):
-    the walk files the ranks by |W| and sums them at the end.  The
-    sweep's ranks are that function's GF(2) ranks, so a subset whose
-    certificate fails goes straight to its Bareiss fallback, on the full
-    complex's levels cut down to the subset.  The complete clutter
-    yields an empty table (zero ideal).
+    each hom array is summed over the subsets of each size at the end.
+    The sweep's ranks are that function's GF(2) ranks, so a subset
+    whose certificate fails, nonzero in two degrees, goes straight to
+    its Bareiss fallback, on the full complex's levels cut down to the
+    subset.  Such a subset is nonzero in two of the arrays that are
+    nonzero anywhere, so only the entries of the second and later of
+    those are candidates, and with one such array there are none.
+    Over Q a degree is zero where it is zero over F_2, so the Bareiss
+    ranks overwrite the subset's entries without waking another array.
+    The complete clutter yields an empty table (zero ideal).
+
+    Memory: each array holds 2^n entries, and a basis one entry per
+    independent row it has taken in.  A basis copied for W holds W's
+    whole rank in its level, so on a dense input the bases hold about
+    3^n / 2 entries at the end: some 15 MB traced on K(12,2) and 130 MB
+    on K(14,2), about three times as much per added vertex.  Nothing is
+    kept between calls.
     """
     check_cap("hochster_betti", clutter.n, HOCHSTER_DEFAULT, max_n)
     n, d = clutter.n, clutter.d
     full = faces or clique_complex_faces(clutter, range(1, n + 1), n)
     rows = _gf2_rows(full.by_size[d - 1:])
-    depth = max(len(full.by_size), d + 1)  # so basis d and rank d - 1 exist
-    # spans[m] = C(m-1, d-1), H~_{d-2} of the (d-2)-skeleton on m vertices
-    spans = [0] + [comb(m - 1, d - 1) for m in range(1, n + 1)]
-    books = [[] for _ in range(n + 1)]  # each subset's nonzero ranks, by size
-    # An entry is a parent's mask, its homology ranks (indexed as
-    # reduced_homology_ranks returns them) and bases (basis k spans the rows
-    # of the size-k faces), and the faces its descendants may still add, in
-    # increasing mask order.
-    stack = [(0, [0] * depth, [{}] * depth, sorted(rows))]
-    while stack:
-        w, ranks, bases, later = stack.pop()
-        m = w.bit_count()
-        # each W + u's rank in degree d - 2 before its own faces
-        span, book = spans[m + 1] - len(bases[d]), books[m + 1].append
-        for u in range(w.bit_length() + 1, n + 1):
-            ubit = 1 << (u - 1)
-            cut = bisect_left(later, ubit << 1)  # the faces with largest vertex u
-            # a child with no new faces shares its parent's list of bases;
-            # writes go to a copy, and a basis is copied before it grows
-            grown_ranks, grown = ranks[:], bases[:] if cut else bases
-            grown_ranks[d - 1] = span
-            for fmask in later[:cut]:
-                k = fmask.bit_count()
-                if grown_ranks[k - 1]:
-                    if grown[k] is bases[k]:
-                        grown[k] = dict(bases[k])
-                    basis, row = grown[k], rows[fmask]
-                    while row and (top := row.bit_length()) in basis:
-                        row ^= basis[top]
-                    if row:
-                        basis[top] = row
-                        grown_ranks[k - 1] -= 1
-                        continue
-                grown_ranks[k] += 1
-            nonzero = depth - grown_ranks.count(0)
-            if nonzero > 1:
-                child = w | ubit  # its levels end at the first that has none inside it
-                levels = takewhile(bool, (tuple([f for f in level if f | child == child])
-                                          for level in full.by_size))
-                book(_homology_ranks(list(levels), _boundary_rank))
-            elif nonzero:
-                book(grown_ranks)
-            later = later[cut:]
-            if u < n:
-                stack.append((w | ubit, grown_ranks, grown, later))
-            if later:
-                later = [f for f in later if not f & ubit]
-    table = {(m - k - 1, m): value for m, booked in enumerate(books)
-             for k, value in enumerate(map(sum, zip_longest(*booked, fillvalue=0))) if value}
+    levels = full.by_size[d:]
+    # the faces by largest vertex, then size, each list in lex order
+    tops = [[[] for _ in levels] for _ in range(n + 1)]
+    for k, level in enumerate(levels):
+        for fmask in level:
+            tops[fmask.bit_length()][k].append(fmask)
+    # spans[m] = C(m-1, d-1), H~_{d-2} of the (d-2)-skeleton on m vertices,
+    # and skeleton[P] what one more vertex adds to it above the parent P
+    spans = [0] + [comb(m - 1, d - 1) for m in range(1, n + 2)]
+    steps = [spans[m + 1] - spans[m] for m in range(n)]
+    skeleton = list(map(steps.__getitem__, map(int.bit_count, range(1 << n >> 1))))
+    hom = [[0] for _ in range(len(levels) + 1)]
+    bases = [[{}] for _ in levels]
+    for u in range(1, n + 1):
+        lo, hi = 1 << (u - 1), 1 << u
+        hom[0] += list(map(add, hom[0], skeleton))  # a list, as the map reads hom[0]
+        for array in hom[1:] + bases:
+            array += array
+        for h, up, b, faces_u in zip(hom, hom[1:], bases, tops[u]):
+            for fmask in faces_u:
+                w = fmask
+                while w < hi:  # every superset of the face in the block
+                    if h[w]:
+                        basis, row = b[w], rows[fmask]
+                        while row and (top := row.bit_length()) in basis:
+                            row ^= basis[top]
+                        if row:
+                            if basis is b[w ^ lo]:  # still the parent's
+                                basis = b[w] = dict(basis)
+                            basis[top] = row
+                            h[w] -= 1
+                        else:
+                            up[w] += 1
+                    else:
+                        up[w] += 1
+                    w = w + 1 | fmask
+    live = [(k, h) for k, h in enumerate(hom) if any(h)]
+    for w in {w for _, h in live[1:] for w in compress(count(), h)}:
+        if sum(h[w] > 0 for _, h in live) > 1:
+            # its levels end at the first that has none inside it
+            cut = takewhile(bool, (tuple([f for f in level if f | w == w])
+                                   for level in full.by_size))
+            ranks = _homology_ranks(list(cut), _boundary_rank)[d - 1:]
+            for h, value in zip_longest(hom, ranks, fillvalue=0):
+                h[w] = value
+    order = sorted(range(1 << n), key=int.bit_count)
+    table = {}
+    for k, h in live:
+        ranks = map(h.__getitem__, order)
+        for m in range(n + 1):
+            if value := sum(islice(ranks, comb(n, m))):
+                table[m - d - k, m] = value
     return GradedBettiTable(n, d, tuple(sorted(table.items())))
 
 

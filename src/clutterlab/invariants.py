@@ -44,15 +44,15 @@ def _as_counts(multiset: Counter | Iterable[int]) -> Counter:
     return +counts
 
 
-def delta_from_multiset(d: int, multiset: Counter | Iterable[int]) -> int:
-    """delta = dim + 1 of the clique complex: max size + d - 1.
+def delta_from_multiset(n: int, d: int, multiset: Counter | Iterable[int]) -> int:
+    """delta = dim + 1 of the clique complex: max size + d - 1, at most n.
 
-    The empty multiset (empty clutter) degenerates to delta = d - 1,
-    which needs n >= d - 1.  On fewer vertices the complex is the whole
-    simplex on [n], with delta = n, the top index of
+    A face has at most n vertices.  Only the empty multiset (empty
+    clutter) with d >= n + 2 reaches that bound: its complex is the
+    whole simplex on [n], with delta = n, the top index of
     f_vector_from_multiset.
     """
-    return max(_as_counts(multiset), default=0) + d - 1
+    return min(max(_as_counts(multiset), default=0) + d - 1, n)
 
 
 # ----- f ---------------------------------------------------------------------

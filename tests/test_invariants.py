@@ -34,9 +34,11 @@ EX_MS = Counter({2: 1, 1: 3})
 
 
 def test_delta():
-    assert delta_from_multiset(3, EX_MS) == 4
-    assert delta_from_multiset(3, Counter()) == 2
-    assert delta_from_multiset(2, Counter({4: 2})) == 5
+    assert delta_from_multiset(5, 3, EX_MS) == 4
+    assert delta_from_multiset(5, 3, Counter()) == 2
+    assert delta_from_multiset(6, 2, Counter({4: 2})) == 5
+    # the empty (3,5) clutter's complex is the 2-simplex on [3]
+    assert delta_from_multiset(3, 5, Counter()) == 3
 
 
 def test_empty_clutters_match_their_complex():
@@ -47,6 +49,7 @@ def test_empty_clutters_match_their_complex():
             f = f_vector_direct(make_clutter(n, d, []))
             assert f_vector_from_multiset(n, d, ()) == f, (n, d)
             assert h_vector_from_multiset(n, d, ()) == h_from_f(f), (n, d)
+            assert delta_from_multiset(n, d, ()) == len(f) - 1, (n, d)
 
 
 def test_f_polynomial_worked_example():

@@ -40,6 +40,7 @@ from clutterlab import (
     clique_complex_faces,
     clutter_from_masks,
     complete_clutter,
+    delta_from_multiset,
     f_vector_direct,
     h_vector_from_multiset,
     hochster_betti,
@@ -761,6 +762,8 @@ def test_formulas_agree_on_small_multisets():
                     ms = Counter(pick)
                     h = outcome(h_vector_from_multiset, n, d, ms)
                     assert h == outcome(ref_h_vector_from_multiset, n, d, ms), (n, d, ms)
+                    delta = outcome(delta_from_multiset, n, d, ms)
+                    assert delta == outcome(ref_delta, n, d, ms), (n, d, ms)
                     betti = outcome(betti_from_multiset, n, d, ms)
                     assert betti == outcome(ref_betti_from_multiset, n, d, ms), (n, d, ms)
                     defined += betti is not ValueError
