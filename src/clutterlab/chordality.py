@@ -34,10 +34,12 @@ none.  Building the state runs no clique test; its frontier is 0.
   is its lowest flag above the rank last tried, and no state sorts its
   candidates.
 
-Deleting e updates the state in place and records what changed, so the
-deletion can be undone; the update rule and its soundness are below.
-replay_order does not use the state: it certifies a witness by
-recomputing every step from the circuits alone.
+Deleting e updates the state in place and returns the flags it
+flipped; the state keeps no history.  An undo re-adds the circuits the
+deletion removed, read off e and N(e), and flips those flags back; the
+update rule and why both are exact are below.  replay_order does not
+use the state: it certifies a witness by recomputing every step from
+the circuits alone, with the same clique test.
 
 The backtracking searches run through one driver, _deletion_sequences:
 a depth-first search over deletion states from a start clutter down to
@@ -245,38 +247,36 @@ for the closed ones.
   vertices in N(e) meet it, so f flips.  The simplicial elements that
   flip are therefore e, the touched f whose neighborhood emptied, and
   the simplicial (d-1)-subsets of K with two or more vertices in N(e).
-  delete enumerates the (d-1)-subsets of K for the last kind, as many
-  as e's own clique test reads; for d = 2 there are none.
-* Fresh clique tests read the map.  Every d-subset S of a vertex set W
-  is g + {v}, where g is the d-1 lowest vertices of S and v lies above
-  max g, and S is a circuit exactly when v is in N(g).  So W is a
-  clique exactly when, for every (d-1)-subset g of W, the vertices of W
-  above max g all lie in N(g): C(k, d-1) map reads for |W| = k, where
-  probing C takes C(k, d).  The test groups the g by their top vertex
-  t, ANDs their N(g), and skips t = max W, above which nothing lies.
-  When N(f) is a single vertex c, N[f] = f + {c} is itself a circuit,
-  hence a clique, and no read is needed.  For d = 1 the only g is the
-  empty set, every vertex lies above it, and the rule reads W inside
-  N(empty set).  delete runs the tests after every removed circuit has
-  left the map, so the map describes C', except that an emptied entry
-  may still be present with value 0.  The test reads N(g) as
-  nbrs.get(g, 0), and a present 0 and an absent entry both read as
-  "no neighbors", which is what C' says.
+  delete enumerates the C(k, d-1) (d-1)-subsets of a k-vertex K for
+  the last kind; for d = 2 there are none.
+* Fresh clique tests probe the live circuits.  N'[f] is a clique
+  exactly when each of its d-subsets is a circuit of C'.  delete runs
+  its tests after every removed circuit has left the live set, so that
+  set is C', and each test is mask_is_clique on it: one pass over the
+  C(k, d) d-subsets of a k-vertex N'[f], which stops at the first one
+  missing.  When N'(f) is a single vertex c, N'[f] = f + {c} is itself
+  a circuit of C', and the test is one membership probe.  settle tests
+  the same way, and replay_order and clutter.is_clique call the same
+  function, so the package has one clique test.
 
-Why an undo is exact.  An undo restores the removed circuits (again
-read off N(e)) and the saved old neighborhoods, and flips back the
-flags the deletion flipped.  Only the driver undoes, and it deletes
-only in settled states.  When a deletion is undone, every later one
-has been undone first, so the state is again the settled one the
-deletion left, whose flags are exactly what the deletion computed, and
-flipping back gives the exact flags from before the deletion.
+Why an undo is exact.  Only the driver undoes, and it keeps each step's
+e and N(e) and the flags its deletion returned.  When a deletion is
+undone, every later one has been undone first, so the state is again
+the one the deletion left.  The undo re-adds the removed circuits
+e + {c}, c in N(e), and for each (d-1)-subset f of each of them ORs the
+one vertex of the circuit outside f back into N(f), recreating an entry
+that the deletion emptied and dropped.  The deletion cleared exactly
+those bits, and each was set before it (f + {c} was a circuit), so
+OR-ing them back restores each N(f), and the entries it did not touch
+never changed.  The driver deletes only in settled states, so the
+flags are exactly what the deletion computed, and flipping back the
+ones it flipped gives the exact flags from before the deletion.
 """
 
 from collections import Counter
 from collections.abc import Iterable, Iterator
-from functools import reduce
-from itertools import combinations, islice, repeat
-from operator import and_, itemgetter
+from itertools import combinations, islice
+from operator import itemgetter
 
 from .clutter import (
     Clutter,
@@ -355,27 +355,28 @@ class _DeletionState:
     """Circuits, neighborhoods and simplicial flags under deletion.
 
     delete(e) removes every circuit containing e, for a simplicial e (the
-    only kind any search deletes), and updates the neighborhood map and
-    the flags by the rule in the module docstring; undo() reverts the
-    latest deletion not yet undone, which must have run in a settled
-    state, as the driver's deletions do.  Elements are numbered by lex rank
-    (by_rank lists them, rank maps back), and flags is a bit mask over
-    those ranks.  Flags are exact below the frontier rank and absent from
-    it up: no clique test runs until settle() asks for one, and it tests
-    only the elements in the map.
+    only kind any search deletes), updates the neighborhood map and the
+    flags by the rule in the module docstring, and returns the flags it
+    flipped.  The state keeps no history: undo(e, gone, flipped) reverts
+    a deletion of e whose open neighborhood was gone, given what delete
+    returned, once every later deletion has been undone; the deletion
+    must have run in a settled state, as the driver's deletions do.
+    Elements are numbered by lex rank (by_rank lists them, rank maps
+    back), and flags is a bit mask over those ranks.  Flags are exact
+    below the frontier rank and absent from it up: no clique test runs
+    until settle() asks for one, and it tests only the elements in the
+    map.
     """
 
-    __slots__ = ("d", "circuits", "nbrs", "rank", "by_rank", "flags", "frontier", "_undo")
+    __slots__ = ("d", "circuits", "nbrs", "rank", "by_rank", "flags", "frontier")
 
-    def __init__(self, circuits: frozenset[int], d: int):
+    def __init__(self, circuits: Iterable[int], d: int):
         self.d = d
         self.circuits = set(circuits)
-        self.nbrs = nbrs = neighborhood_map(circuits)
+        self.nbrs = nbrs = neighborhood_map(self.circuits)
         self.by_rank = sorted(nbrs, key=verts_of)
         self.rank = {e: r for r, e in enumerate(self.by_rank)}
         self.flags = self.frontier = 0
-        # Per deletion: (e, N(e), old N(f) of every shrunk f, flipped flags).
-        self._undo: list[tuple[int, int, dict[int, int], int]] = []
 
     def candidates(self) -> list[int]:
         """The simplicial element masks, lex sorted by vertex tuple.
@@ -392,11 +393,11 @@ class _DeletionState:
         unless first is set: then the tests stop at the first element that
         passes, with the frontier just above it.
         """
-        nbrs, by_rank = self.nbrs, self.by_rank
+        circuits, nbrs, by_rank = self.circuits, self.nbrs, self.by_rank
         for r in range(self.frontier, len(by_rank)):
             f = by_rank[r]
             nbr = nbrs.get(f)
-            if nbr and self._closed_is_clique(f, nbr):
+            if nbr and mask_is_clique(circuits, f | nbr, self.d):
                 self.flags |= 1 << r
                 if first:
                     self.frontier = r + 1
@@ -404,49 +405,29 @@ class _DeletionState:
         self.frontier = len(by_rank)
         return self.flags
 
-    def _closed_is_clique(self, f: int, nbr: int) -> bool:
-        """Whether N[f] = f + nbr is a clique, read off the neighborhood map."""
-        if not nbr & (nbr - 1):
-            return True
-        closed = f | nbr
-        get = self.nbrs.get
-        if self.d == 1:
-            return not closed & ~get(0, 0)
-        bits = _circuits_through(0, closed)
-        # Each g is a head of d - 2 vertices below its top vertex t.  A t
-        # at the top of closed has nothing above it to test.
-        width = self.d - 2
-        for j in range(width, len(bits) - 1):
-            t = bits[j]
-            heads = map(sum, combinations(bits[:j], width))
-            common = reduce(and_, map(get, map(t.__or__, heads), repeat(0)))
-            if closed & -(t << 1) & ~common:
-                return False
-        return True
-
-    def delete(self, e: int) -> None:
+    def delete(self, e: int) -> int:
         circuits, nbrs, rank = self.circuits, self.nbrs, self.rank
         gone = nbrs[e]
-        old: dict[int, int] = {}
+        shrunk = set()
         for m in _circuits_through(e, gone):
             circuits.remove(m)
             rest = m
             while rest:
                 low = rest & -rest
                 f = m ^ low
-                if f not in old:
-                    old[f] = nbrs[f]
+                shrunk.add(f)
                 nbrs[f] ^= low
                 rest ^= low
         flags, frontier = self.flags, self.frontier
         flipped = 0
-        for f in old:
+        for f in shrunk:
             nbr = nbrs[f]
             bit = 1 << rank[f]
             if not nbr:
                 del nbrs[f]
                 flipped |= flags & bit
-            elif not flags & bit and rank[f] < frontier and self._closed_is_clique(f, nbr):
+            elif (not flags & bit and rank[f] < frontier
+                  and mask_is_clique(circuits, f | nbr, self.d)):
                 flipped |= bit
         if self.d > 2 and gone & (gone - 1):
             # The (d-1)-subsets of the clique N[e] with two or more
@@ -456,18 +437,24 @@ class _DeletionState:
                 if (f & gone).bit_count() > 1:
                     flipped |= flags & 1 << rank[f]
         self.flags ^= flipped
-        self._undo.append((e, gone, old, flipped))
+        return flipped
 
-    def undo(self) -> None:
-        e, gone, old, flipped = self._undo.pop()
-        self.circuits.update(_circuits_through(e, gone))
-        self.nbrs.update(old)
+    def undo(self, e: int, gone: int, flipped: int) -> None:
+        nbrs = self.nbrs
+        for m in _circuits_through(e, gone):
+            self.circuits.add(m)
+            rest = m
+            while rest:
+                low = rest & -rest
+                f = m ^ low
+                nbrs[f] = nbrs.get(f, 0) | low
+                rest ^= low
         self.flags ^= flipped
 
 
 def simplicial_elements(clutter: Clutter) -> frozenset[Vertices]:
     """All simplicial (d-1)-subsets of the clutter."""
-    state = _DeletionState(clutter.mask_set(), clutter.d)
+    state = _DeletionState(clutter.circuit_masks, clutter.d)
     return frozenset(map(verts_of, state.candidates()))
 
 
@@ -498,19 +485,20 @@ def _deletion_sequences(live: _DeletionState, target: frozenset[int],
     circuits, nbrs, by_rank = live.circuits, live.nbrs, live.by_rank
     # The current path: [lowest rank not yet tried, sequences yielded
     # before the state was entered].  steps[i] is the (element,
-    # neighborhood) step taken out of path[i]; live holds the state after
+    # neighborhood) step taken out of path[i], and flips[i] the flags that
+    # step flipped, which its undo takes back; live holds the state after
     # every step, and after backing up it is path[-1]'s state again, so
     # its untried candidates are live.flags's bits from that rank up.  The
     # driver deletes only in this settled state, so every flag is exact.
     path: list[list[int]] = []
     steps: list[tuple[int, int]] = []
+    flips: list[int] = []
     while True:
         if len(circuits) == len(target) and circuits == target:
             yield tuple(steps)
             yielded += 1
             if steps:
-                steps.pop()
-                live.undo()
+                live.undo(*steps.pop(), flips.pop())
         else:
             budget.expand()
             path.append([0, yielded])
@@ -534,11 +522,10 @@ def _deletion_sequences(live: _DeletionState, target: frozenset[int],
                 if yielded == here[1]:
                     failed.setdefault(len(circuits), set()).add(frozenset(circuits))
                 if steps:
-                    steps.pop()
-                    live.undo()
+                    live.undo(*steps.pop(), flips.pop())
                 continue
             here[0] = low.bit_length()
-            live.delete(e)
+            flips.append(live.delete(e))
             steps.append((e, nbr))
             break
         else:
@@ -625,7 +612,7 @@ def find_simplicial_order(clutter: Clutter,
     well.  A negative max_states raises ValueError.
     """
     budget = _StateBudget(max_states)
-    live = _DeletionState(clutter.mask_set(), clutter.d)
+    live = _DeletionState(clutter.circuit_masks, clutter.d)
     steps = _greedy(live, None if max_states is None else max_states + 1)
     if not live.circuits or clutter.d == 2:
         budget.expand(len(steps) + bool(live.circuits))
@@ -666,7 +653,7 @@ def greedy_simplicial_order(clutter: Clutter) -> SimplicialOrder | None:
     find_simplicial_order makes the actual decision.  That decision
     starts with this same run, and returns its order when it completes.
     """
-    live = _DeletionState(clutter.mask_set(), clutter.d)
+    live = _DeletionState(clutter.circuit_masks, clutter.d)
     steps = _greedy(live)
     return None if live.circuits else _order(steps)
 
@@ -680,7 +667,7 @@ def enumerate_simplicial_orders(clutter: Clutter,
     can grow factorially.  Branches that provably cannot complete are
     pruned through the same failed-state memo as the decision search.
     """
-    live = _DeletionState(clutter.mask_set(), clutter.d)
+    live = _DeletionState(clutter.circuit_masks, clutter.d)
     n_sub = len(live.by_rank)
     if n_sub > max_submaximal:
         raise ValueError(
@@ -784,7 +771,7 @@ def co_chordal_sequence(clutter: Clutter,
     never inferred from the other.
     """
     budget = _StateBudget(max_states)
-    live = _DeletionState(complete_clutter(clutter.n, clutter.d).mask_set(), clutter.d)
+    live = _DeletionState(complete_clutter(clutter.n, clutter.d).circuit_masks, clutter.d)
     steps = next(_deletion_sequences(live, clutter.mask_set(), budget), None)
     return None if steps is None else tuple(verts_of(e) for e, _ in steps)
 

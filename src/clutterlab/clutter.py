@@ -325,20 +325,20 @@ def closed_neighborhood(clutter: Clutter, e: Iterable[int]) -> Vertices:
 def mask_is_clique(circuit_set: frozenset[int] | set[int], vmask: int, d: int) -> bool:
     """Clique test on masks: every d-subset of vmask is a circuit.
 
-    Sets with fewer than d vertices are cliques vacuously.
+    Sets with fewer than d vertices are cliques vacuously, and a d-set is
+    one exactly when it is a circuit.  A larger set takes one pass over
+    its d-subsets, which stops at the first one missing.
     """
-    if vmask.bit_count() < d:
-        return True
+    k = vmask.bit_count()
+    if k <= d:
+        return k < d or vmask in circuit_set
     bits = []
     while vmask:
         low = vmask & -vmask
         bits.append(low)
         vmask ^= low
     # distinct single bits: their sum is the mask of the d-subset
-    for sub in combinations(bits, d):
-        if sum(sub) not in circuit_set:
-            return False
-    return True
+    return circuit_set.issuperset(map(sum, combinations(bits, d)))
 
 
 def is_clique(clutter: Clutter, vertices: Iterable[int]) -> bool:

@@ -450,14 +450,15 @@ class CheckedState(chordality._DeletionState):
         assert [(e, self.nbrs[e]) for e in self.candidates()] == \
             _simplicial_candidates(live, self.d)
 
-    def delete(self, e: int) -> None:
+    def delete(self, e: int) -> int:
         here = frozenset(self.circuits)
-        super().delete(e)
+        flipped = super().delete(e)
         self.before.append(here)
         self.check(_delete_mask(here, e))
+        return flipped
 
-    def undo(self) -> None:
-        super().undo()
+    def undo(self, e: int, gone: int, flipped: int) -> None:
+        super().undo(e, gone, flipped)
         self.check(self.before.pop())
 
     def at_start(self) -> bool:
@@ -586,7 +587,7 @@ def test_small_budget_stops_greedy_early(monkeypatch, d):
     def counted(self, e):
         nonlocal deletions
         deletions += 1
-        delete(self, e)
+        return delete(self, e)
 
     monkeypatch.setattr(chordality._DeletionState, "delete", counted)
     for budget in (0, 1, 5):

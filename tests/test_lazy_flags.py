@@ -176,12 +176,13 @@ class Lockstep(chordality._DeletionState):
         return flags
 
     def delete(self, e):
-        super().delete(e)
+        flipped = super().delete(e)
         self.eager.delete(e)
         self.agree()
+        return flipped
 
-    def undo(self):
-        super().undo()
+    def undo(self, e, gone, flipped):
+        super().undo(e, gone, flipped)
         self.eager.undo()
         self.agree()
 
@@ -347,21 +348,21 @@ def test_cut_greedy_leaves_untested_elements_to_the_driver():
 
 @pytest.fixture
 def clique_tests(monkeypatch):
-    """Every element clique-tested, in order; "greedy" marks where greedy stops."""
+    """Every vertex mask clique-tested, in order; "greedy" marks where greedy stops."""
     tested: list = []
-    test = chordality._DeletionState._closed_is_clique
+    test = chordality.mask_is_clique
     greedy = chordality._greedy
 
-    def counted(self, f, nbr):
-        tested.append(f)
-        return test(self, f, nbr)
+    def counted(circuits, vmask, d):
+        tested.append(vmask)
+        return test(circuits, vmask, d)
 
     def marked(live, most=None):
         steps = greedy(live, most)
         tested.append("greedy")
         return steps
 
-    monkeypatch.setattr(chordality._DeletionState, "_closed_is_clique", counted)
+    monkeypatch.setattr(chordality, "mask_is_clique", counted)
     monkeypatch.setattr(chordality, "_greedy", marked)
     return tested
 
@@ -370,7 +371,7 @@ def count_tests(tested: list, clutter) -> int:
     """The clique tests find_simplicial_order runs on clutter."""
     tested.clear()
     find_simplicial_order(clutter)
-    return sum(f != "greedy" for f in tested)
+    return sum(v != "greedy" for v in tested)
 
 
 def test_clique_test_counts_are_pinned(clique_tests):
@@ -381,11 +382,11 @@ def test_clique_test_counts_are_pinned(clique_tests):
     c = make_clutter(n, 3, [[n + 1 - v for v in t] for t in circuits])
     assert count_tests(clique_tests, c) == 31
     # The octahedron is last in lex order and greedy took no step in it:
-    # greedy tested its elements where it got stuck, and no clique test
-    # runs after greedy stops.
+    # greedy tested its elements' closed neighborhoods where it got
+    # stuck, and no clique test runs after greedy stops.
     octahedron = mask_of(range(n - 5, n + 1))
     assert clique_tests.index("greedy") == len(clique_tests) - 1
-    assert any(f & octahedron == f for f in clique_tests)
+    assert any(v & octahedron == v for v in clique_tests[:-1])
 
 
 def test_cut_greedy_hands_the_driver_a_fresh_state(clique_tests):
