@@ -336,18 +336,22 @@ def cmd_invariants(args) -> int:
     want_all = not (args.want_f or args.want_h or args.want_betti)
     show_f = want_all or args.want_f
     show_betti = want_all or args.want_betti
-    # f and Betti are computed once; --verify compares the oracles with them.
-    # delta is f's top index: n, not d - 1, for an empty clutter with d > n + 1.
+    # f, h and Betti are computed once, one from the other; --verify
+    # compares the oracles with them.  delta is f's top index: n, not
+    # d - 1, for an empty clutter with d > n + 1.
     f = list(f_vector_from_multiset(n, d, ms))
+    h = h_from_f(f)
     report["delta"] = len(f) - 1
     report["multiplicity"] = multiplicity(clutter)
     if show_f:
         report["f"] = f
     if want_all or args.want_h:
-        report["h"] = list(h_vector_from_multiset(n, d, ms))
+        report["h"] = list(h)
     if show_betti or args.verify:
+        from .invariants import _refuse_betti
         try:
-            betti = list(betti_from_multiset(n, d, ms))
+            _refuse_betti(n, d, ms)  # as betti_from_multiset refuses
+            betti = list(betti_from_h(n, d, h, len(h) - 1))
         except ValueError as exc:
             betti, note = None, str(exc)
         if show_betti:
@@ -479,36 +483,33 @@ def cmd_lambda(args) -> int:
         raise UsageError(f"the answer would print {entries} numbers, over the "
                          f"lambda output cap of {LAMBDA_MAX_OUTPUT} digits")
     out: dict = {"schema": SCHEMA, "n": n, "d": d, "mode": args.mode}
+    # human is the line printed without --json, filled from out only then
     try:
         if args.mode == "max":
             out["index"] = args.index
             out["lambda_max"] = lambda_max(n, d, args.index)
-            human = f"lambda_max({n},{d}) at index {args.index}: {out['lambda_max']}"
+            human = "lambda_max({n},{d}) at index {index}: {lambda_max}"
         elif args.mode == "profile":
             out["index"] = args.index
-            profile = extremal_lambda_profile(n, d, args.index)
-            out["lambda"] = list(profile)
-            human = f"extremal lambda profile at index {args.index}: {list(profile)}"
+            out["lambda"] = list(extremal_lambda_profile(n, d, args.index))
+            human = "extremal lambda profile at index {index}: {lambda}"
         elif args.mode == "complete":
-            lam = complete_lambda(n, d)
-            out["lambda"] = list(lam)
-            human = f"lambda of the complete clutter: {list(lam)}"
+            out["lambda"] = list(complete_lambda(n, d))
+            human = "lambda of the complete clutter: {lambda}"
         else:  # validate
             diag = validate_lambda(n, d, seq)
             out["lambda"] = list(seq)
             out["valid"] = diag.valid
             out["l_sequence"] = list(diag.l_sequence) if diag.l_sequence else None
             out["reason"] = diag.reason
-            if diag.valid:
-                human = f"valid: realized by l-sequence {list(diag.l_sequence)}"
-            else:
-                human = f"invalid: {diag.reason}"
+            human = ("valid: realized by l-sequence {l_sequence}" if diag.valid
+                     else "invalid: {reason}")
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     if args.as_json:
         print(dumps_report(out))
     else:
-        print(human)
+        print(human.format_map(out))
     if args.mode == "validate" and not out["valid"]:
         return EXIT_NOT_CHORDAL
     return EXIT_OK

@@ -29,8 +29,22 @@ Q.  A sweep that never falls back has also found the F_2 and Q tables
 equal, which checks at characteristic 2 that the resolution does not
 depend on the field.
 
+Faces are grown from extension masks, the candidate sets of Bron and
+Kerbosch (1973).  Each face F carries ext(F), the vertices above its
+maximum, among those asked for, that extend it to a face; its children
+are F + v for v in ext(F), so no other vertex is ever tried.  For v < w
+above F, F + v + w is a face exactly when F + v and F + w are faces and
+every d-set {v, w} + S with S inside F is a circuit: every other
+d-subset of F + v + w misses v or w.  So ext(F + v) is ext(F) above v
+cut down by the neighborhoods N(S + v) of the plain circuit table, and
+one level down the same fact replaces most of those lookups by the mask
+of a face beside F + v.  Every face is the child of one face, itself
+less its largest vertex, which makes the growth complete, and children
+come in increasing order of the new vertex, which keeps every level in
+lex order.  clique_complex_faces gives the details.
+
 The clique complex on all n vertices and its GF(2) boundary rows are
-built once per call, each level grown from the one below it.  A sweep
+built once per call, each level from the masks of the one below.  A sweep
 then keeps every vertex subset's GF(2) ranks and XOR bases in arrays
 indexed by its mask and fills them one block at a time: the subsets
 whose largest vertex is u start as a copy of their parents, the
@@ -49,11 +63,11 @@ exponential in n; the caps in guards.py apply.
 """
 
 from collections.abc import Iterable
-from itertools import compress, count, islice, takewhile, zip_longest
+from itertools import combinations, compress, count, islice, takewhile, zip_longest
 from math import comb
 from operator import add
 
-from .clutter import Clutter, Record, verts_of
+from .clutter import Clutter, Record, mask_of, neighborhood_map, verts_of
 from .guards import FACES_DEFAULT, HOCHSTER_DEFAULT, check_cap
 
 
@@ -83,20 +97,39 @@ def clique_complex_faces(clutter: Clutter, within: Iterable[int],
 
     A face is any subset of `within` all of whose d-subsets are
     circuits; subsets with fewer than d vertices qualify vacuously.
-    Faces are grown one vertex at a time, each level from the one
-    below: a face F of size k - 1 and a vertex v give g = F + v, and g
-    is a face exactly when g - u is in the level below for every u in
-    F, and g is a circuit if k = d.  Below size d every set is a face,
-    so the level test passes and the circuit test decides at k = d.
-    Above it the level test is sound: every d-subset of g misses some
-    vertex of g, so it lies in F or in some g - u, all faces, and is a
-    circuit.  It is complete because every subset of a face is a face.
+    Each face F carries ext(F), the mask of the vertices above max F,
+    inside `within`, that extend F to a face, and its children are the
+    faces F + v for v in ext(F).  Every nonempty face is the child of
+    exactly one face, itself less its largest vertex, so growing every
+    face's children level by level finds every face once (complete).
+
+    The masks rest on one fact: for a face F and vertices v < w above
+    it, F + v + w is a face exactly when F + v and F + w are faces and
+    every d-set {v, w} + S, with S a (d-2)-subset of F, is a circuit.
+    Every other d-subset of F + v + w misses v or w, so it lies in
+    F + w or in F + v.  Hence, with N(e) the vertices c that make e + c
+    a circuit (clutter.neighborhood_map, the plain circuit table),
+
+        ext(F + v) = ext(F) & above(v) & N(S + v) for every such S.
+
+    That is how the children of the empty face get theirs: ext(empty)
+    is `within`, for d = 1 only its vertices that lie in a circuit; the
+    only S is the empty set when d = 2, and there is none for other d.
+    A deeper face G = P + u, u its largest vertex, reads its children's
+    masks off the faces beside it.  For w in ext(G), P + w is a face of
+    G's level, and for x above w a d-subset of G + w + x misses u and
+    lies in P + w + x, or misses w and lies in G + x, or lies in the
+    face G + w, or is {u, w, x} + T for a (d-3)-subset T of P.  So
+
+        ext(G + w) = ext(G) & above(w) & ext(P + w) & N(T + u + w) for every such T:
+
+    one lookup of ext(P + w) and C(|P|, d-3) circuit lookups per child,
+    none for d <= 2, and no vertex outside ext(G) is ever tried.
 
     Each level comes out in lexicographic order without a sort.  By
     induction the level being grown is in lex order, and each face F
-    is extended by the vertices above its maximum in increasing order.
-    Two faces grown from F come out in the order of their new vertex;
-    a face grown from F precedes one grown from a later G, because the
+    yields its children in increasing order of the new vertex.  A
+    face grown from F precedes one grown from a later G, because the
     two tuples first differ inside the prefixes F < G.
     """
     w = tuple(sorted(set(within)))
@@ -104,23 +137,36 @@ def clique_complex_faces(clutter: Clutter, within: Iterable[int],
         if not 1 <= v <= clutter.n:
             raise ValueError(f"vertex {v} out of range 1..{clutter.n}")
     check_cap("clique_complex_faces", len(w), FACES_DEFAULT, max_n)
-    circuits = clutter.mask_set()
     d = clutter.d
-    levels: list[tuple[int, ...]] = [(0,)]
-    while levels[-1]:
-        k = len(levels)  # the size of the sets grown from the last level
-        below = set(levels[-1])
-        grown = []
-        for fmask in levels[-1]:
-            members = verts_of(fmask)
-            start = fmask.bit_length()  # extend by vertices above the max
-            for v in w:
-                g = fmask | 1 << (v - 1)
-                if (v > start and (k != d or g in circuits)
-                        and all(g ^ 1 << (u - 1) in below for u in members)):
-                    grown.append(g)
-        levels.append(tuple(grown))
-    return FaceList(w, tuple(levels[:-1]))
+    nbrs = neighborhood_map(clutter.circuit_masks)
+    rest = mask_of(w) if d > 1 else mask_of(w) & nbrs.get(0, 0)
+    exts = {}  # the level being grown from: each face's ext, in lex order
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        exts[low] = rest & nbrs.get(low, 0) if d == 2 else rest
+    levels = [(0,)]
+    while exts:
+        levels.append(tuple(exts))
+        grown = {}
+        for face, ext in exts.items():
+            if not ext:
+                continue
+            top = 1 << face.bit_length() >> 1
+            parent = face ^ top
+            if d > 3:
+                keys = [top | sub for sub in map(mask_of, combinations(verts_of(parent), d - 3))]
+            else:  # T is the empty set alone for d = 3, and there is none below
+                keys = (top,) if d == 3 else ()
+            while ext:
+                low = ext & -ext
+                ext ^= low  # now ext(face) & above(low)
+                child = ext & exts[parent | low]
+                for key in keys:
+                    child &= nbrs.get(key | low, 0)
+                grown[face | low] = child
+        exts = grown
+    return FaceList(w, tuple(levels))
 
 
 # ----- exact rank ------------------------------------------------------------
@@ -173,7 +219,12 @@ def _gf2_rows(by_size: tuple[tuple[int, ...], ...]) -> dict[int, int]:
     for lower, upper in zip(by_size, by_size[1:]):
         index = {m: 1 << c for c, m in enumerate(lower)}
         for fmask in upper:
-            rows[fmask] = sum(index[fmask ^ (1 << (v - 1))] for v in verts_of(fmask))
+            row, rest = 0, fmask
+            while rest:  # drop each vertex in turn; the facets' bits are distinct
+                low = rest & -rest
+                rest ^= low
+                row |= index[fmask ^ low]
+            rows[fmask] = row
     return rows
 
 

@@ -8,8 +8,13 @@ of the circuit ideal.  This module walks that chain, one step per
 function, on plain integer coefficient tuples: the multiset gives
 f (f_vector_from_multiset), f gives h (h_from_f), and h gives the Betti
 numbers (betti_from_h).  h_vector_from_multiset and betti_from_multiset
-are those steps composed.  The oracle f_vector_direct counts the faces
-of homology.clique_complex_faces instead.
+are those steps composed; `clutterlab invariants` walks the chain
+itself, so that one job builds f once and h once, and refuses what
+betti_from_multiset refuses before it reads the Betti numbers off h.
+The oracle f_vector_direct counts the faces of
+homology.clique_complex_faces instead.  The binomials of h_from_f and
+betti_from_h never take a negative argument, so they are math.comb,
+which is 0 for k > n.
 
 Conventions.  An f-vector is the coefficient tuple of the f-polynomial
 f(t) = sum f_{i-1} t^i, so it reads (f_-1, f_0, ..., f_{delta-1}) with
@@ -103,7 +108,7 @@ def h_from_f(f: FVector) -> HVector:
         raise ValueError("an f-vector starts with f_-1 = 1")
     delta = len(f) - 1
     return tuple(
-        sum((-1) ** (k - i) * binom(delta - i, k - i) * f[i] for i in range(k + 1))
+        sum((-1) ** (k - i) * comb(delta - i, k - i) * f[i] for i in range(k + 1))
         for k in range(delta + 1)
     )
 
@@ -172,7 +177,7 @@ def betti_from_h(n: int, d: int, h: HVector, delta: int) -> BettiSequence:
     # Not tuple(generator): CPython grows such a tuple from 10 slots and
     # shrinks it, which shuffles tuple free lists and raises peak memory.
     expansion = tuple([
-        sum((-1) ** (k - i) * binom(m, k - i) * h[i] for i in range(min(k + 1, len(h))))
+        sum((-1) ** (k - i) * comb(m, k - i) * h[i] for i in range(min(k + 1, len(h))))
         for k in range(m + len(h))
     ])
     return _betti_from_expansion(expansion, d)
@@ -189,6 +194,18 @@ def betti_from_multiset(n: int, d: int,
     counts = _as_counts(multiset)
     if any(size > n - d + 1 for size in counts):
         raise ValueError("a neighborhood size exceeds n - d + 1")
+    _refuse_betti(n, d, counts)
+    h = h_vector_from_multiset(n, d, counts)
+    return betti_from_h(n, d, h, len(h) - 1)
+
+
+def _refuse_betti(n: int, d: int, counts: Counter) -> None:
+    """Raise ValueError where the counts have no Betti sequence.
+
+    That is when they account for more circuits than the C(n, d) that
+    exist, or for all of them: the complete clutter's circuit ideal is
+    zero.
+    """
     r = sum(size * mult for size, mult in counts.items())
     total = comb(n, d) if n >= d else 0
     if r > total:
@@ -196,8 +213,6 @@ def betti_from_multiset(n: int, d: int,
     if r == total:
         raise ValueError(
             "complete clutter: the circuit ideal is zero and has no Betti sequence")
-    h = h_vector_from_multiset(n, d, counts)
-    return betti_from_h(n, d, h, len(h) - 1)
 
 
 def multiplicity(clutter: Clutter) -> int:

@@ -155,7 +155,12 @@ def dumps_report(value: object) -> str:
     join, and a list or tuple of equal-width, non-empty lists or tuples
     of exact ints (the echoed circuits, the order's elements) as one
     "%d" row template, repeated by one join and filled by one %-format
-    over all the ints.  Any other container (empty, a subclass, a dict
+    over all the ints.  A list or tuple of dicts that all have the same
+    str keys in the same order, at least one, and only exact ints for
+    values (the graded Betti entries) is one such template too, its
+    keys' "%" doubled.  In a dict, a value that is an exact int or a
+    non-empty list of exact ints is written in the key's line without a
+    recursive call.  Any other container (empty, a subclass, a dict
     with a key that is not a str) goes whole to json.dumps(value,
     indent=2), its lines shifted to the current depth; a JSON string
     holds no raw newline, so every newline it writes starts a line.  It
@@ -179,11 +184,19 @@ def _write(value: object, newline: str, out: list[str]) -> None:
         if (kinds := {*map(type, value)}) == {int}:
             out.append(f"[{inner}{(',' + inner).join(map(int.__repr__, value))}{newline}]")
             return
-        if (kinds <= {list, tuple} and len(widths := {*map(len, value)}) == 1
-                and {*map(type, chain.from_iterable(value))} == {int}):
-            row = f"[{inner}  {(',' + inner + '  ').join(['%d'] * widths.pop())}{inner}]"
-            rows = (',' + inner).join([row] * len(value))
-            out.append(f"[{inner}{rows}{newline}]" % tuple(chain.from_iterable(value)))
+        # rows of one shape: lists or tuples of one width, or dicts of one
+        # str key order, each cell an exact int
+        heads = ()
+        if kinds <= {list, tuple} and len(shapes := {*map(len, value)}) == 1:
+            heads, ints, ends = [""] * shapes.pop(), chain.from_iterable(value), "[]"
+        elif (kinds == {dict} and len(shapes := {*map(tuple, value)}) == 1
+              and {*map(type, keys := shapes.pop())} == {str}):
+            heads = [encode_basestring_ascii(key).replace("%", "%%") + ": " for key in keys]
+            ints, ends = chain.from_iterable(map(dict.values, value)), "{}"
+        if heads and {*map(type, ints := [*ints])} == {int}:
+            cells = (',' + inner + '  ').join([head + "%d" for head in heads])
+            rows = (',' + inner).join([f"{ends[0]}{inner}  {cells}{inner}{ends[1]}"] * len(value))
+            out.append(f"[{inner}{rows}{newline}]" % tuple(ints))
             return
         sep = "[" + inner
         for item in value:
@@ -196,7 +209,12 @@ def _write(value: object, newline: str, out: list[str]) -> None:
         sep = "{" + inner
         for key, item in value.items():
             out.append(sep + encode_basestring_ascii(key) + ": ")
-            _write(item, inner, out)
+            if type(item) is int:  # the two commonest values, without a call
+                out.append(int.__repr__(item))
+            elif type(item) is list and {*map(type, item)} == {int}:
+                out.append(f"[{inner}  {(',' + inner + '  ').join(map(int.__repr__, item))}{inner}]")
+            else:
+                _write(item, inner, out)
             sep = "," + inner
         out.append(newline + "}")
     elif isinstance(value, (list, tuple, dict)):

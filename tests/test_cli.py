@@ -244,6 +244,25 @@ def test_invariants_verify_builds_one_complex(ex_file, capsys, monkeypatch):
     assert [list(w) for w in built] == [[1, 2, 3, 4, 5]]
 
 
+def test_invariants_verify_walks_the_chain_once(ex_file, capsys, monkeypatch):
+    # One job builds f once and h once, in cli or inside the composites.
+    calls = []
+
+    def counted(name, step):
+        def wrapper(*args):
+            calls.append(name)
+            return step(*args)
+        return wrapper
+    for owner in (cli, invariants):
+        for name in ("f_vector_from_multiset", "h_from_f"):
+            monkeypatch.setattr(owner, name, counted(name, getattr(owner, name)))
+    code, out, _ = run(capsys, "invariants", ex_file, "--verify", "--json")
+    report = json.loads(out)
+    assert code == 0 and report["verify"]["agreement"] is True
+    assert report["h"] == [1, 1, 1, -4, 2] and report["betti"] == [5, 6, 2]
+    assert sorted(calls) == ["f_vector_from_multiset", "h_from_f"]
+
+
 def test_invariants_verify_caps_before_building(tmp_path, capsys, monkeypatch):
     # Above Hochster's cap nothing is enumerated, and the skip text is
     # the oracle's own.
@@ -260,7 +279,7 @@ def test_invariants_verify_caps_before_building(tmp_path, capsys, monkeypatch):
 
 @pytest.mark.parametrize("name, wrong", [
     ("f_vector_direct", lambda clutter, faces: (1, 5, 10, 5, 2)),
-    ("betti_from_multiset", lambda n, d, ms: (5, 6, 3)),
+    ("betti_from_h", lambda n, d, h, delta: (5, 6, 3)),
 ])
 def test_invariants_verify_mismatch(ex_file, capsys, monkeypatch, name, wrong):
     # a disagreement on either side is reported and exits 1

@@ -104,9 +104,20 @@ ROWS = st.integers(0, 4).flatmap(lambda width: st.lists(
     st.lists(INTS, min_size=width, max_size=width)
     | st.lists(INTS, min_size=width, max_size=width).map(tuple)
     | st.lists(ROW_CELLS, min_size=width, max_size=width), min_size=1))
+# Lists of dicts with one str key order and exact-int values, the writer's
+# dict-row branch, and lists that must miss it: a bool, an IntEnum or a
+# float among the values, the keys in another order, or an empty dict.
+DICT_ROWS = st.lists(STRINGS | st.sampled_from(["i", "j", "value", "%d", "%%s"]),
+                     unique=True, max_size=3).flatmap(lambda keys: st.lists(
+    st.lists(INTS, min_size=len(keys), max_size=len(keys)).map(
+        lambda values: dict(zip(keys, values)))
+    | st.lists(ROW_CELLS, min_size=len(keys), max_size=len(keys)).map(
+        lambda values: dict(zip(keys, values)))
+    | st.permutations(keys).map(lambda order: dict.fromkeys(order, 1)),
+    min_size=1))
 LEAVES = (st.none() | st.booleans() | INTS | STRINGS | st.floats()
           | st.lists(INTS | st.booleans()) | ROWS | ROWS.map(tuple)
-          | st.lists(st.lists(INTS, max_size=3), min_size=1))
+          | st.lists(st.lists(INTS, max_size=3), min_size=1) | DICT_ROWS)
 KEYS = STRINGS | INTS | st.none() | st.booleans() | st.floats()
 REPORTS = st.recursive(
     LEAVES,
@@ -152,6 +163,18 @@ class DictSubclass(dict):
 @example([[1.0, 2], [3, 4]])
 # ints beyond 2**300
 @example([[2**301, -2**302], [10**100, -1]])
+# dicts with one key order and exact-int values, the graded Betti entries,
+# at depth 1 and 2, with "%" in a key; and dicts that must miss that path:
+# a bool value, two key orders, an empty dict, a non-str key
+@example({"entries": [{"i": 0, "j": 2, "value": 5}, {"i": 1, "j": 3, "value": -2**301}]})
+@example([[{"%d": 1, "%%s": 2}], ({"a": 3},)])
+@example([{"i": 0, "value": True}, {"i": 1, "value": 2}])
+@example([{"i": 0, "j": 1}, {"j": 1, "i": 0}])
+@example([{}, {}])
+@example([{"i": 1, 2: 3}, {"i": 1, 2: 3}])
+# int values and int lists written in a dict's own line, beside ones that
+# are not: a bool, an empty list, a list holding a bool, a tuple
+@example({"n": 5, "f": [1, 5, 10], "ok": True, "e": [], "b": [1, True], "t": (1, 2)})
 def test_report_writer_is_json_dumps(value):
     assert dumps_report(value) == json.dumps(value, indent=2)
 

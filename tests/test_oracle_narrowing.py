@@ -1,6 +1,7 @@
 """The oracle's face growth and block sweep against the plain references.
 
-clique_complex_faces tests a grown set against the level below it.
+clique_complex_faces grows each face from the mask of the vertices
+that extend it, read off the circuit table and the faces beside it.
 hochster_betti keeps each vertex subset's ranks and bases in arrays
 indexed by its mask and fills them one block per largest vertex u:
 the block starts as a copy of the subsets below u, its parents, and
@@ -24,6 +25,7 @@ import pytest
 
 from clutterlab import (
     clique_complex_faces,
+    clutter_from_masks,
     complete_clutter,
     hochster_betti,
     make_clutter,
@@ -49,6 +51,22 @@ def test_faces_agree_on_every_subset_of_every_small_clutter():
                     assert clique_complex_faces(c, w) == ref_clique_complex_faces(c, w), (c, w)
                     checked += 1
     assert checked == 32 * (2**5 + 2**10 + 2**10)
+
+
+def test_faces_agree_on_random_clutters_and_subsets():
+    # Up to 9 vertices, d = 1 to 4, circuits of every density; `within`
+    # a random subset, and vertices that lie in no circuit when the
+    # circuits avoid them.
+    rng = random.Random(25)
+    for _ in range(400):
+        n, d = rng.randint(1, 9), rng.randint(1, 4)
+        c = random_clutter(n, d, rng.choice((0.2, 0.5, 0.8, 1.0)), rng)
+        if rng.random() < 0.5:
+            idle = set(rng.sample(range(1, n + 1), rng.randint(1, n)))
+            c = clutter_from_masks(n, d, [m for m in c.circuit_masks
+                                          if not any(m >> (v - 1) & 1 for v in idle)])
+        w = [v for v in range(1, n + 1) if rng.random() < 0.7]
+        assert clique_complex_faces(c, w) == ref_clique_complex_faces(c, w), (c, w)
 
 
 def test_faces_agree_on_complete_clutters():
