@@ -18,6 +18,21 @@ mask over those ranks, kept lazily under one invariant: below a
 frontier rank every flag is exact, and from the frontier up there is
 none.  Building the state runs no clique test; its frontier is 0.
 
+The ranks come from one sort key per element, computed by C-level calls:
+the mask's 8 little-endian bytes, each with its bits reversed, so that
+the key reads the vertices 1, 2, ..., 64 as one bit string, most
+significant first.  Sorted in descending order, the keys put sets of
+one size in lex order of their vertex tuples: the least vertex v of
+the symmetric difference of A != B decides both orders.  Say v is in
+A.  The keys agree on every vertex below v and differ first at v, where
+A's has the 1, so A's key is the larger one.  Say j vertices of A lie
+below v; they are B's vertices below v too, so the tuples agree on
+their first j entries.  A's next entry is v.  B has a next entry, as
+|B| = |A| > j, and it is above v, as v is not in B.  So A's tuple is
+the smaller one.  Among sets of different sizes the key can disagree
+with the tuples ((1,) against (1, 2)), so only the deletion state,
+whose elements all have d-1 vertices, uses it.
+
 * Greedy's pick is lex-first.  When a flag is set, every rank below the
   lowest one lies below the frontier and is exactly unflagged, so the
   lowest flag is the lex-first simplicial element.  When none is set,
@@ -34,7 +49,10 @@ none.  Building the state runs no clique test; its frontier is 0.
   is its lowest flag above the rank last tried, and no state sorts its
   candidates.
 
-Deleting e updates the state in place and returns the flags it
+One loop, run, does every deletion in place.  Each of its steps deletes
+a given element, which is how the driver's delete(e) calls it, or else
+greedy's pick; greedy is one call of it, with the state's fields held
+in locals for the whole run.  delete returns the flags its step
 flipped; the state keeps no history.  An undo re-adds the circuits the
 deletion removed, read off e and N(e), and flips those flags back; the
 update rule and why both are exact are below.  replay_order does not
@@ -247,17 +265,27 @@ for the closed ones.
   vertices in N(e) meet it, so f flips.  The simplicial elements that
   flip are therefore e, the touched f whose neighborhood emptied, and
   the simplicial (d-1)-subsets of K with two or more vertices in N(e).
-  delete enumerates the C(k, d-1) (d-1)-subsets of a k-vertex K for
-  the last kind; for d = 2 there are none.
-* Fresh clique tests probe the live circuits.  N'[f] is a clique
-  exactly when each of its d-subsets is a circuit of C'.  delete runs
-  its tests after every removed circuit has left the live set, so that
-  set is C', and each test is mask_is_clique on it: one pass over the
-  C(k, d) d-subsets of a k-vertex N'[f], which stops at the first one
-  missing.  When N'(f) is a single vertex c, N'[f] = f + {c} is itself
-  a circuit of C', and the test is one membership probe.  settle tests
-  the same way, and replay_order and clutter.is_clique call the same
-  function, so the package has one clique test.
+  A deletion step enumerates the C(k, d-1) (d-1)-subsets of a
+  k-vertex K for the last kind; for d = 2 there are none.
+* Each touched element is reached once.  The touched f other than e
+  are the sets e - {y} + {c}, y in e and c in N(e), one per pair, and
+  the only removed circuit containing such an f is e + {c}: so f loses
+  exactly the neighbor y, and its new neighborhood is known as soon as
+  that one bit is cleared.  e's own entry empties and is popped.
+* Fresh clique tests probe the live circuits, before all removals
+  finish.  N'[f] is a clique exactly when each of its d-subsets is a
+  circuit of C'.  The step tests a touched f = e - {y} + {c} right
+  after clearing y from N(f), while some removed circuits may still be
+  in the live set.  Those are the only extra circuits it holds, and
+  every removed circuit contains e, so it contains y; y is not in
+  N'[f], so no removed circuit lies in N'[f], and the test answers as
+  it would on C'.  Each test is mask_is_clique on the live set: one
+  pass over the C(k, d) d-subsets of a k-vertex N'[f], which stops at
+  the first one missing.  When N'(f) is a single vertex c, N'[f] =
+  f + {c} is itself a circuit of C', and the test is one membership
+  probe.  settle and greedy's upward walk test the same way, with
+  every removal done, and replay_order and clutter.is_clique call the
+  same function, so the package has one clique test.
 
 Why an undo is exact.  Only the driver undoes, and it keeps each step's
 e and N(e) and the flags its deletion returned.  When a deletion is
@@ -274,8 +302,8 @@ ones it flipped gives the exact flags from before the deletion.
 """
 
 from collections import Counter
-from collections.abc import Iterable, Iterator
-from itertools import combinations, islice
+from collections.abc import Callable, Collection, Iterable, Iterator
+from itertools import combinations, count, islice, repeat
 from operator import itemgetter
 
 from .clutter import (
@@ -351,21 +379,52 @@ def _circuits_through(e: int, nbr: int) -> list[int]:
     return out
 
 
+def _bit_reversed_bytes() -> bytes:
+    """The translate table that reverses the 8 bits of each byte."""
+    table = [0]
+    for bit in (128, 64, 32, 16, 8, 4, 2, 1):
+        table += [b | bit for b in table]
+    return bytes(table)
+
+
+_REVERSED = _bit_reversed_bytes()
+
+
+def _rank_key(masks: Collection[int]) -> Callable[[int], bytes]:
+    """A sort key for the masks; descending, it puts masks of one size in lex order.
+
+    The key of a mask is its 8 little-endian bytes, each bit-reversed,
+    so vertex 1 is the first bit and vertex 64 the last; every key is
+    made by C-level calls before the sort, and the sort looks it up.
+    The order holds only among sets of one size (the module docstring
+    has the proof), which is why canonical_mask_order, which also sorts
+    ideal generators of mixed sizes, keeps verts_of.
+    """
+    keys = map(bytes.translate, map(int.to_bytes, masks, repeat(8), repeat("little")),
+               repeat(_REVERSED))
+    return dict(zip(masks, keys)).__getitem__
+
+
 class _DeletionState:
     """Circuits, neighborhoods and simplicial flags under deletion.
 
-    delete(e) removes every circuit containing e, for a simplicial e (the
-    only kind any search deletes), updates the neighborhood map and the
-    flags by the rule in the module docstring, and returns the flags it
-    flipped.  The state keeps no history: undo(e, gone, flipped) reverts
-    a deletion of e whose open neighborhood was gone, given what delete
-    returned, once every later deletion has been undone; the deletion
-    must have run in a settled state, as the driver's deletions do.
-    Elements are numbered by lex rank (by_rank lists them, rank maps
-    back), and flags is a bit mask over those ranks.  Flags are exact
-    below the frontier rank and absent from it up: no clique test runs
-    until settle() asks for one, and it tests only the elements in the
-    map.
+    run(most, e) is the one deletion loop.  Each step deletes e when it
+    is given, else the lex-first simplicial element, found by testing
+    upward from the frontier when no flag is set; it removes every
+    circuit containing that element (always simplicial: no search
+    deletes another kind), updates the neighborhood map and the flags by
+    the rule in the module docstring, and records the (element, open
+    neighborhood) step.  The loop stops after most steps, or when no
+    element is simplicial.  delete(e) is one step of it and returns the
+    flags that step flipped.  The state keeps no history: undo(e, gone,
+    flipped) reverts a deletion of e whose open neighborhood was gone,
+    given what delete returned, once every later deletion has been
+    undone; the deletion must have run in a settled state, as the
+    driver's deletions do.  Elements are numbered by lex rank (by_rank
+    lists them, rank maps back), and flags is a bit mask over those
+    ranks.  Flags are exact below the frontier rank and absent from it
+    up: no clique test runs until settle() or run() asks for one, and
+    only elements in the map are tested.
     """
 
     __slots__ = ("d", "circuits", "nbrs", "rank", "by_rank", "flags", "frontier")
@@ -374,8 +433,8 @@ class _DeletionState:
         self.d = d
         self.circuits = set(circuits)
         self.nbrs = nbrs = neighborhood_map(self.circuits)
-        self.by_rank = sorted(nbrs, key=verts_of)
-        self.rank = {e: r for r, e in enumerate(self.by_rank)}
+        self.by_rank = sorted(nbrs, key=_rank_key(nbrs), reverse=True)
+        self.rank = dict(zip(self.by_rank, count()))
         self.flags = self.frontier = 0
 
     def candidates(self) -> list[int]:
@@ -385,70 +444,84 @@ class _DeletionState:
         """
         return [self.by_rank[i - 1] for i in verts_of(self.settle())]
 
-    def settle(self, first: bool = False) -> int:
+    def settle(self) -> int:
         """Clique-test the elements from the frontier up; return the flags.
 
         The tests run up the ranks, and a rank whose element has left the
-        map is skipped without a test.  Every flag is exact afterwards,
-        unless first is set: then the tests stop at the first element that
-        passes, with the frontier just above it.
+        map is skipped without a test.  Every flag is exact afterwards.
         """
         circuits, nbrs, by_rank = self.circuits, self.nbrs, self.by_rank
-        for r in range(self.frontier, len(by_rank)):
-            f = by_rank[r]
-            nbr = nbrs.get(f)
-            if nbr and mask_is_clique(circuits, f | nbr, self.d):
+        for r, f in enumerate(by_rank[self.frontier:], self.frontier):
+            if (nbr := nbrs.get(f)) and mask_is_clique(circuits, f | nbr, self.d):
                 self.flags |= 1 << r
-                if first:
-                    self.frontier = r + 1
-                    return self.flags
         self.frontier = len(by_rank)
         return self.flags
 
-    def delete(self, e: int) -> int:
-        circuits, nbrs, rank = self.circuits, self.nbrs, self.rank
-        gone = nbrs[e]
-        shrunk = set()
-        for m in _circuits_through(e, gone):
-            circuits.remove(m)
-            rest = m
-            while rest:
-                low = rest & -rest
-                f = m ^ low
-                shrunk.add(f)
-                nbrs[f] ^= low
-                rest ^= low
+    def run(self, most: int | None = None, e: int | None = None) -> list[tuple[int, int]]:
+        """Take up to most steps, e's first when e is given; return them."""
+        circuits, nbrs, rank, by_rank, d = self.circuits, self.nbrs, self.rank, self.by_rank, self.d
         flags, frontier = self.flags, self.frontier
-        flipped = 0
-        for f in shrunk:
-            nbr = nbrs[f]
-            bit = 1 << rank[f]
-            if not nbr:
-                del nbrs[f]
-                flipped |= flags & bit
-            elif (not flags & bit and rank[f] < frontier
-                  and mask_is_clique(circuits, f | nbr, self.d)):
-                flipped |= bit
-        if self.d > 2 and gone & (gone - 1):
-            # The (d-1)-subsets of the clique N[e] with two or more
-            # vertices in N(e): each simplicial one flips.  Each lies in
-            # a circuit of N[e], so it has a rank.
-            for f in map(sum, combinations(_circuits_through(0, e | gone), self.d - 1)):
-                if (f & gone).bit_count() > 1:
-                    flipped |= flags & 1 << rank[f]
-        self.flags ^= flipped
-        return flipped
+        steps = []
+        while len(steps) != most:
+            if e is None:
+                # The lowest flag, else the first element from the
+                # frontier up that passes its clique test.
+                while not flags and frontier < len(by_rank):
+                    f = by_rank[frontier]
+                    frontier += 1
+                    if (nbr := nbrs.get(f)) and mask_is_clique(circuits, f | nbr, d):
+                        flags = 1 << frontier - 1
+                if not flags:
+                    break
+                e = by_rank[(flags & -flags).bit_length() - 1]
+            gone = nbrs.pop(e)
+            steps.append((e, gone))
+            flags &= ~(1 << rank[e])
+            cs = gone
+            while cs:
+                c = cs & -cs
+                cs ^= c
+                circuits.remove(e | c)
+                ys = e
+                while ys:
+                    y = ys & -ys
+                    ys ^= y
+                    # each touched f other than e, once; it loses just y
+                    f = e ^ y | c
+                    r = rank[f]
+                    if nbr := nbrs[f] ^ y:
+                        nbrs[f] = nbr
+                        if (r < frontier and not flags >> r & 1
+                                and mask_is_clique(circuits, f | nbr, d)):
+                            flags |= 1 << r
+                    else:
+                        del nbrs[f]
+                        flags &= ~(1 << r)
+            if d > 2 and gone & (gone - 1):
+                # The (d-1)-subsets of the clique N[e] with two or more
+                # vertices in N(e): each simplicial one flips.  Each lies in
+                # a circuit of N[e], so it has a rank.
+                for f in map(sum, combinations(_circuits_through(0, e | gone), d - 1)):
+                    if (f & gone).bit_count() > 1:
+                        flags &= ~(1 << rank[f])
+            e = None
+        self.flags, self.frontier = flags, frontier
+        return steps
+
+    def delete(self, e: int) -> int:
+        flags = self.flags
+        self.run(1, e)
+        return flags ^ self.flags
 
     def undo(self, e: int, gone: int, flipped: int) -> None:
         nbrs = self.nbrs
-        for m in _circuits_through(e, gone):
-            self.circuits.add(m)
-            rest = m
-            while rest:
-                low = rest & -rest
-                f = m ^ low
-                nbrs[f] = nbrs.get(f, 0) | low
-                rest ^= low
+        nbrs[e] = gone
+        ys = _circuits_through(0, e)
+        for c in _circuits_through(0, gone):
+            self.circuits.add(e | c)
+            for y in ys:
+                f = e ^ y | c
+                nbrs[f] = nbrs.get(f, 0) | y
         self.flags ^= flipped
 
 
@@ -542,16 +615,9 @@ def _greedy(live: _DeletionState, most: int | None = None) -> list[tuple[int, in
 
     Returns the (element mask, open-neighborhood mask) steps, at most
     most of them when most is given.  The run completed when live has no
-    circuit left, and stopped short otherwise.  The lowest flag is the
-    lex-first simplicial element; with none set, live is tested upward
-    from its frontier until an element passes.
+    circuit left, and stopped short otherwise.
     """
-    steps = []
-    while len(steps) != most and (flags := live.flags or live.settle(first=True)):
-        e = live.by_rank[(flags & -flags).bit_length() - 1]
-        steps.append((e, live.nbrs[e]))
-        live.delete(e)
-    return steps
+    return live.run(most)
 
 
 def _components(nbrs: dict[int, int], rank: dict[int, int]

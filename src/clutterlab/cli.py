@@ -274,10 +274,6 @@ def _add_arguments(parser, command: str, rule) -> None:
 # ----- report assembly --------------------------------------------------------
 
 
-def _order_block(order) -> dict:
-    return {"elements": order.elements, "neighborhood_sizes": order.neighborhood_sizes}
-
-
 def _chordal_analysis(path: str, max_states: int | None) -> tuple[Clutter, dict]:
     """Shared by check and invariants: parse, decide and derive the multiset."""
     clutter = parse_clutter_file(path)
@@ -288,10 +284,10 @@ def _chordal_analysis(path: str, max_states: int | None) -> tuple[Clutter, dict]
         "chordal": order is not None,
     }
     if order is not None:
-        ms = simplicial_multiset(order)
-        report["order"] = _order_block(order)
-        report["multiset"] = sorted(ms.elements())
-        report["lambda"] = list(lambda_sequence(ms))
+        sizes = order.neighborhood_sizes
+        report["order"] = {"elements": order.elements, "neighborhood_sizes": sizes}
+        report["multiset"] = sorted(sizes)
+        report["lambda"] = list(lambda_sequence(sizes))
     return clutter, report
 
 

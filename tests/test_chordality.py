@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 from collections import Counter
+from itertools import combinations
 from math import comb
 
 import pytest
@@ -27,6 +28,36 @@ from clutterlab import (
     simplicial_elements,
     simplicial_multiset,
 )
+from clutterlab import chordality
+from clutterlab.clutter import mask_of, verts_of
+
+def rank_sorted(masks: list[int]) -> list[int]:
+    """masks sorted by the deletion state's rank key, in descending order."""
+    return sorted(masks, key=chordality._rank_key(masks), reverse=True)
+
+
+@pytest.mark.parametrize("k", range(5))
+def test_rank_key_orders_every_k_subset_of_9_lexicographically(k):
+    # Sorting all k-subsets of [9] by either order compares every pair.
+    masks = [mask_of(c) for c in combinations(range(1, 10), k)]
+    random.Random(k).shuffle(masks)
+    assert rank_sorted(masks) == sorted(masks, key=verts_of)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 8, 63, 64])
+def test_rank_key_orders_sets_with_vertex_64_lexicographically(k):
+    # vertex 64 is the top bit of the key's last byte
+    rng = random.Random(f"rank/{k}")
+    masks = {mask_of(rng.sample(range(1, 65), k)) for _ in range(300)}
+    masks |= {mask_of([*rng.sample(range(1, 64), k - 1), 64]) for _ in range(300)}
+    masks = sorted(masks)
+    assert sum(m >> 63 for m in masks) > 0
+    assert rank_sorted(masks) == sorted(masks, key=verts_of)
+
+
+def test_rank_key_table_reverses_each_byte():
+    assert chordality._REVERSED == bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
+
 
 EX = make_clutter(5, 3, [(1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4), (1, 4, 5)])
 FOUR_CYCLE = make_clutter(4, 2, [(1, 2), (2, 3), (3, 4), (1, 4)])

@@ -422,9 +422,9 @@ def test_nonchordal_families_take_linear_states(family):
 class CheckedState(chordality._DeletionState):
     """The deletion state, compared with a fresh computation after each update.
 
-    After every delete and undo, the live circuit set must be what a plain
-    filter of the previous set gives (for an undo: the set before the
-    deletion), the neighborhood map must be neighborhood_map of the live
+    After every deletion step and undo, the live circuit set must be what
+    a plain filter of the previous set gives (for an undo: the set before
+    the deletion), the neighborhood map must be neighborhood_map of the live
     set, and the candidates, with their neighborhoods, must be the
     reference _simplicial_candidates in the same order.  A state that
     find_simplicial_order builds for one component is checked in the same
@@ -450,12 +450,20 @@ class CheckedState(chordality._DeletionState):
         assert [(e, self.nbrs[e]) for e in self.candidates()] == \
             _simplicial_candidates(live, self.d)
 
-    def delete(self, e: int) -> int:
-        here = frozenset(self.circuits)
-        flipped = super().delete(e)
-        self.before.append(here)
-        self.check(_delete_mask(here, e))
-        return flipped
+    def run(self, most=None, e=None):
+        # one step per call, so that each of greedy's steps and each
+        # delete of the driver is checked
+        steps = []
+        while len(steps) != most:
+            here = frozenset(self.circuits)
+            step = super().run(1, e)
+            if not step:
+                return steps
+            self.before.append(here)
+            self.check(_delete_mask(here, step[0][0]))
+            steps += step
+            e = None
+        return steps
 
     def undo(self, e: int, gone: int, flipped: int) -> None:
         super().undo(e, gone, flipped)
@@ -582,14 +590,15 @@ def test_small_budget_stops_greedy_early(monkeypatch, d):
     K = complete_clutter(20, d)
     assert len(find_simplicial_order(K)) > 11
     deletions = 0
-    delete = chordality._DeletionState.delete
+    run = chordality._DeletionState.run
 
-    def counted(self, e):
+    def counted(self, most=None, e=None):
         nonlocal deletions
-        deletions += 1
-        return delete(self, e)
+        steps = run(self, most, e)
+        deletions += len(steps)
+        return steps
 
-    monkeypatch.setattr(chordality._DeletionState, "delete", counted)
+    monkeypatch.setattr(chordality._DeletionState, "run", counted)
     for budget in (0, 1, 5):
         deletions = 0
         with pytest.raises(SearchLimitReached):

@@ -157,8 +157,8 @@ def eager_greedy(live: EagerState) -> list[tuple[int, int]]:
 class Lockstep(chordality._DeletionState):
     """A lazy state that takes an eager one through the same deletions.
 
-    After every test pass, deletion and undo, the lazy flags must be the
-    eager ones below the frontier, with none from the frontier up.
+    After every test pass, deletion step and undo, the lazy flags must be
+    the eager ones below the frontier, with none from the frontier up.
     """
 
     def __init__(self, circuits, d):
@@ -170,16 +170,22 @@ class Lockstep(chordality._DeletionState):
         assert self.nbrs == self.eager.nbrs
         assert self.flags == self.eager.simplicial & ~(-1 << self.frontier)
 
-    def settle(self, first=False):
-        flags = super().settle(first)
+    def settle(self):
+        flags = super().settle()
         self.agree()
         return flags
 
-    def delete(self, e):
-        flipped = super().delete(e)
-        self.eager.delete(e)
+    def run(self, most=None, e=None):
+        # one step per call, so that greedy's run and each delete of the
+        # driver agree after every step
+        steps = []
+        while len(steps) != most and (step := super().run(1, e)):
+            self.eager.delete(step[0][0])
+            self.agree()
+            steps += step
+            e = None
         self.agree()
-        return flipped
+        return steps
 
     def undo(self, e, gone, flipped):
         super().undo(e, gone, flipped)
