@@ -31,7 +31,10 @@ their first j entries.  A's next entry is v.  B has a next entry, as
 |B| = |A| > j, and it is above v, as v is not in B.  So A's tuple is
 the smaller one.  Among sets of different sizes the key can disagree
 with the tuples ((1,) against (1, 2)), so only the deletion state,
-whose elements all have d-1 vertices, uses it.
+whose elements all have d-1 vertices, uses it.  Elements of at most one
+vertex (d <= 2) need no key: the mask of {v} is 2^(v-1), so ascending
+masks are ascending vertices, and the state ranks them by a plain sort
+of the masks.
 
 * Greedy's pick is lex-first.  When a flag is set, every rank below the
   lowest one lies below the frontier and is exactly unflagged, so the
@@ -63,14 +66,16 @@ The backtracking searches run through one driver, _deletion_sequences:
 a depth-first search over deletion states from a start clutter down to
 a target clutter (the empty one for simplicial orders, the input for
 co-chordality).  It keeps its path on an explicit stack, so the length
-of an order is not bounded by Python's recursion limit, and it has two
+of an order is not bounded by Python's recursion limit, and it has three
 standing rules:
 
 * candidates are tried in lexicographic order of their vertex tuples,
   so the sequences come out in a fixed order and the first one is the
   deterministic witness;
 * states from which no completion exists are memoized by their circuit
-  set, so the search never re-explores a failed region.
+  set, so the search never re-explores a failed region;
+* with an empty target, a state whose leaf child failed fails at once,
+  its other candidates untried (the leaf cut, proved below).
 
 A memo key is a pass over the live circuits, so it is built only when
 the memo can use it: a failing state's key when it fails, and a
@@ -157,8 +162,10 @@ completes.
   d >= 3 a cut run with circuits left takes the stuck path, whose rule
   below holds for any prefix of greedy's run.
 * The stuck path, for d >= 3.  Greedy's deletions stay.  The components
-  are read off the input's own neighborhood map and taken in the order
-  of their lex-first circuits, as a search run once per component
+  are read off the start state's neighborhood map, which
+  find_simplicial_order copies for d != 2 before greedy runs rather than
+  rebuild it from the circuits afterwards, and taken in the order of
+  their lex-first circuits, as a search run once per component
   takes them, so the charges add up in the same order.  Each one takes
   the first of three rules that applies.  A component that greedy
   emptied had its own greedy run complete, so its driver would expand
@@ -182,9 +189,14 @@ completes.
   whole greedy run, so the rule does not need greedy to have got
   stuck.
 * What is left exponential.  The memo still visits every reachable
-  state of one component.  A non-chordal core with simplicial ears that
-  share a (d-1)-set with it forms one component, so for d >= 3 such an
-  input costs as much as before.
+  state of one component that it cannot fail by the leaf cut.  Ears
+  that share a (d-1)-set with a non-chordal core form one component
+  with it, but when each ear goes through a leaf, the cut fails every
+  state above the bare core: the octahedron with k ears {1, 3, 6 + j}
+  on its edge {1, 3} costs k + 1 states, not 2^k.  Extras whose
+  simplicial elements are no leaves still multiply the states: k
+  tetrahedron boundaries {1, 3, a, b} on that edge cost about 11^k
+  (14406 states for k = 4, against 14641 without the cut).
 
 Simplicial deletions for d >= 3: reduced, not settled.  Greedy would
 decide every d if no simplicial deletion took a chordal clutter to a
@@ -201,7 +213,42 @@ C - e (deleting an element without neighbors changes nothing); so C - e
 is chordal.  Hence a smallest counterexample (C, e) has N[w] = N[e] and
 |w - e| >= 2 for every w that begins an order of C.  For d = 2,
 |w - e| <= 1, which reproves for simplicial deletions the lemma the
-d = 2 bullet above uses.
+d = 2 bullet above uses.  A leaf e (N[e] a single circuit, so
+|w - e| <= 1 for every w inside it) escapes the case for every d; the
+leaf cut below proves that case on its own.
+
+The leaf cut.  Call e a *leaf* when |N(e)| = 1: N[e] = e + {c} is the
+one circuit m through e, so e is simplicial.  Lemma: if C is chordal and
+e is a leaf of C, then C - e is chordal.  By induction on the circuit
+count of C: let w begin a simplicial order of C; if w = e, the rest of
+the order empties C - e, so let w != e.
+
+* In C - w, e is simplicial or without neighbors.  By the flip rule,
+  with w deleted, e could flip only as a simplicial (d-1)-subset of
+  N[w] with two or more vertices in N(w).  Then N[w] lies inside
+  N[e] = m, as that rule's proof shows, yet it holds the d - 1 vertices
+  of w and two more of e: d + 1 vertices inside the d of m.
+* So (C - w) - e is chordal.  If e has no neighbor in C - w, that
+  clutter is C - w, which the rest of w's order empties.  Otherwise
+  e's open neighborhood in C - w, a non-empty subset of {c}, is {c}:
+  e is a leaf of the chordal C - w, which has fewer circuits, and the
+  induction applies.
+* In C - e, w is simplicial or without neighbors.  By the flip rule,
+  with e deleted, w could flip only inside N[e] = m with |w - e| >= 2;
+  but two (d-1)-subsets of the d-set m share d - 2 vertices.
+* Deletions commute, so (C - e) - w = (C - w) - e.  Deleting w from
+  C - e reaches that chordal clutter, or changes nothing if w has no
+  neighbor there, so C - e is chordal.
+
+With an empty target, a state's completions are its simplicial orders,
+so a state fails exactly when it is not chordal.  When the child
+reached by deleting a leaf e has failed, the lemma makes its parent
+fail too, so the driver marks the parent's candidates as all tried: the
+parent fails at once and goes into the memo.  Only states without a
+completion are cut, so every sequence is still yielded, in the same
+order; only the states expanded, and with them the budget outcomes,
+can fall.  co_chordal_sequence has a non-empty target, which the lemma
+does not cover, and runs without the cut.
 
 Evidence, not proof, for d >= 3.  tests/greedy_census_6_3.py runs
 greedy and find_simplicial_order on all 2^20 3-uniform clutters on 6
@@ -398,7 +445,9 @@ def _rank_key(masks: Collection[int]) -> Callable[[int], bytes]:
     made by C-level calls before the sort, and the sort looks it up.
     The order holds only among sets of one size (the module docstring
     has the proof), which is why canonical_mask_order, which also sorts
-    ideal generators of mixed sizes, keeps verts_of.
+    ideal generators of mixed sizes, keeps verts_of.  The deletion state
+    calls it for d >= 3 only: masks of at most one vertex are already
+    in lex order by value.
     """
     keys = map(bytes.translate, map(int.to_bytes, masks, repeat(8), repeat("little")),
                repeat(_REVERSED))
@@ -421,10 +470,12 @@ class _DeletionState:
     given what delete returned, once every later deletion has been
     undone; the deletion must have run in a settled state, as the
     driver's deletions do.  Elements are numbered by lex rank (by_rank
-    lists them, rank maps back), and flags is a bit mask over those
-    ranks.  Flags are exact below the frontier rank and absent from it
-    up: no clique test runs until settle() or run() asks for one, and
-    only elements in the map are tested.
+    lists them, rank maps back): by _rank_key for d >= 3, and for
+    d <= 2, where an element has at most one vertex, by a plain sort of
+    the masks.  flags is a bit mask over those ranks.  Flags are exact
+    below the frontier rank and absent from it up: no clique test runs
+    until settle() or run() asks for one, and only elements in the map
+    are tested.
     """
 
     __slots__ = ("d", "circuits", "nbrs", "rank", "by_rank", "flags", "frontier")
@@ -433,7 +484,8 @@ class _DeletionState:
         self.d = d
         self.circuits = set(circuits)
         self.nbrs = nbrs = neighborhood_map(self.circuits)
-        self.by_rank = sorted(nbrs, key=_rank_key(nbrs), reverse=True)
+        # one-vertex masks already sort in the order of their vertices
+        self.by_rank = sorted(nbrs) if d <= 2 else sorted(nbrs, key=_rank_key(nbrs), reverse=True)
         self.rank = dict(zip(self.by_rank, count()))
         self.flags = self.frontier = 0
 
@@ -547,7 +599,8 @@ def _deletion_sequences(live: _DeletionState, target: frozenset[int],
     other searches: SearchLimitReached is raised once its limit is spent.
     The path lives on an explicit stack, so long orders do not touch
     Python's recursion limit.  A run that is drained leaves live at its
-    start.
+    start.  With an empty target, a state whose leaf child (|N(e)| = 1)
+    failed fails too, untried candidates and all (the leaf cut).
     """
     live.settle()
     protected = neighborhood_map(target)
@@ -592,10 +645,14 @@ def _deletion_sequences(live: _DeletionState, target: frozenset[int],
                         break
             else:
                 path.pop()
-                if yielded == here[1]:
+                if fails := yielded == here[1]:
                     failed.setdefault(len(circuits), set()).add(frozenset(circuits))
                 if steps:
-                    live.undo(*steps.pop(), flips.pop())
+                    e, nbr = steps.pop()
+                    live.undo(e, nbr, flips.pop())
+                    if fails and not target and not nbr & (nbr - 1):
+                        # The leaf cut: a failed leaf child fails its parent.
+                        path[-1][0] = len(by_rank)
                 continue
             here[0] = low.bit_length()
             flips.append(live.delete(e))
@@ -679,6 +736,7 @@ def find_simplicial_order(clutter: Clutter,
     """
     budget = _StateBudget(max_states)
     live = _DeletionState(clutter.circuit_masks, clutter.d)
+    start = dict(live.nbrs) if clutter.d != 2 else None  # the stuck path's components
     steps = _greedy(live, None if max_states is None else max_states + 1)
     if not live.circuits or clutter.d == 2:
         budget.expand(len(steps) + bool(live.circuits))
@@ -689,7 +747,7 @@ def find_simplicial_order(clutter: Clutter,
     # Settled: every element left was tested, and none is simplicial.
     settled = not live.flags and live.frontier == len(live.by_rank)
     stuck, witnesses = 0, []
-    for ranks, circuits in _components(neighborhood_map(clutter.circuit_masks), rank):
+    for ranks, circuits in _components(start, rank):
         if not ranks & left:
             budget.expand((ranks & taken).bit_count())
         elif settled and not ranks & taken:

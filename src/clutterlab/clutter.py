@@ -13,8 +13,8 @@ modules.
 """
 
 from collections.abc import Iterable
-from itertools import chain, combinations, repeat
-from operator import attrgetter, lt
+from itertools import chain, combinations
+from operator import add, attrgetter, lt
 
 MAX_VERTICES = 64
 _BITS = tuple(1 << v >> 1 for v in range(MAX_VERTICES + 1))  # _BITS[v] = mask_of((v,))
@@ -192,28 +192,35 @@ def make_clutter(n: int, d: int, circuits: Iterable[Iterable[int]]) -> Clutter:
     A non-empty list of lists, or of tuples, is built by passes over all
     its rows at once.  Each row must hold d exact ints (no bools) within
     1..n, checked by one set of types and by min and max.  A row's mask
-    is then the sum of its vertices' bits (_BITS[v] = mask_of((v,))).
-    Adding a power of two to a sum raises its popcount by one, less the
-    number of carries, so a sum of d powers of two has popcount d
-    exactly when no addition carries, that is, when no two are equal.
-    So every sum having popcount d shows that every row names d distinct
-    vertices and that its sum is its mask.  When the
-    rows also increase strictly within themselves and from row to row
-    (as clutter_to_text, generate and the JSON reports write them), each
-    row is verts_of of its mask and the rows are distinct and in
-    lexicographic order, so the masks are already in canonical order and
-    the sort is skipped.  Any other input, or a failed check, goes to the
-    per-circuit loop, which raises every error with its usual message.
+    is then the sum of its vertices' bits (_BITS[v] = mask_of((v,))),
+    added column by column: column j, the j-th vertex of every row, is
+    one slice of the flattened rows, and one C-level map(add, ...) adds
+    its bits to all the rows' running sums at once.  Adding a power of
+    two to a sum raises its popcount by one, less the number of carries,
+    so a sum of d powers of two has popcount d exactly when no addition
+    carries, that is, when no two are equal.  So every sum having
+    popcount d shows that every row names d distinct vertices and that
+    its sum is its mask.  When the rows also increase strictly within
+    themselves (each column below the next, slice against slice) and
+    from row to row (as clutter_to_text, generate and the JSON reports
+    write them), each row is verts_of of its mask and the rows are
+    distinct and in lexicographic order, so the masks are already in
+    canonical order and the sort is skipped.  Any other input, or a
+    failed check, goes to the per-circuit loop, which raises every error
+    with its usual message.
     """
     _check_parameters(n, d)
     if (type(circuits) is list and {*map(type, circuits)} in ({list}, {tuple})
             and {*map(len, circuits)} == {d}
             and {*map(type, flat := [*chain.from_iterable(circuits)])} == {int}
             and 1 <= min(flat) and max(flat) <= n):
-        masks = [*map(sum, map(map, repeat(_BITS.__getitem__), circuits))]
-        if {*map(int.bit_count, masks)} == {d}:
+        cols = [flat[j::d] for j in range(d)]
+        sums = map(_BITS.__getitem__, cols[0])
+        for col in cols[1:]:
+            sums = map(add, sums, map(_BITS.__getitem__, col))
+        if {*map(int.bit_count, masks := [*sums])} == {d}:
             ordered = all(map(lt, circuits, circuits[1:])) and all(
-                all(map(lt, flat[j::d], flat[j + 1::d])) for j in range(d - 1))
+                all(map(lt, a, b)) for a, b in zip(cols, cols[1:]))
             return Clutter(n, d, tuple(masks) if ordered else canonical_mask_order(masks))
     masks = []
     for circ in circuits:

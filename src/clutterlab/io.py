@@ -158,9 +158,9 @@ def dumps_report(value: object) -> str:
     over all the ints.  A list or tuple of dicts that all have the same
     str keys in the same order, at least one, and only exact ints for
     values (the graded Betti entries) is one such template too, its
-    keys' "%" doubled.  In a dict, a value that is an exact int or a
-    non-empty list of exact ints is written in the key's line without a
-    recursive call.  Any other container (empty, a subclass, a dict
+    keys' "%" doubled.  In a dict, a value that is an exact int, an
+    exact str, a bool, None or a non-empty list of exact ints is written
+    in the key's line without a recursive call.  Any other container (empty, a subclass, a dict
     with a key that is not a str) goes whole to json.dumps(value,
     indent=2), its lines shifted to the current depth; a JSON string
     holds no raw newline, so every newline it writes starts a line.  It
@@ -209,9 +209,14 @@ def _write(value: object, newline: str, out: list[str]) -> None:
         sep = "{" + inner
         for key, item in value.items():
             out.append(sep + encode_basestring_ascii(key) + ": ")
-            if type(item) is int:  # the two commonest values, without a call
+            # the commonest values, without a call
+            if (kind := type(item)) is int:
                 out.append(int.__repr__(item))
-            elif type(item) is list and {*map(type, item)} == {int}:
+            elif kind is str:
+                out.append(encode_basestring_ascii(item))
+            elif kind is bool or item is None:
+                out.append("null" if item is None else "true" if item else "false")
+            elif kind is list and {*map(type, item)} == {int}:
                 out.append(f"[{inner}  {(',' + inner + '  ').join(map(int.__repr__, item))}{inner}]")
             else:
                 _write(item, inner, out)

@@ -59,6 +59,20 @@ def test_rank_key_table_reverses_each_byte():
     assert chordality._REVERSED == bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
 
 
+def test_one_vertex_ranks_are_the_rank_key_order():
+    # d = 2 ranks its one-vertex elements by a plain sort of their masks
+    singles = [1 << v for v in range(64)]
+    random.Random("singles").shuffle(singles)
+    assert sorted(singles) == rank_sorted(singles)
+    for pick in range(1 << 10):
+        masks = [m for i, m in enumerate(combinations(range(1, 6), 2)) if pick >> i & 1]
+        live = chordality._DeletionState(map(mask_of, masks), 2)
+        assert live.by_rank == rank_sorted(list(live.nbrs)), masks
+    # a 2-clutter on [64] whose every vertex is an element, 64 the last
+    path = chordality._DeletionState([3 << v for v in range(63)], 2)
+    assert path.by_rank == rank_sorted(singles) and path.by_rank[-1] == 1 << 63
+
+
 EX = make_clutter(5, 3, [(1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4), (1, 4, 5)])
 FOUR_CYCLE = make_clutter(4, 2, [(1, 2), (2, 3), (3, 4), (1, 4)])
 

@@ -381,8 +381,14 @@ def octahedron_with_triangles_at_vertex(k: int):
     return 6 + 2 * k, octa + [(1, 5 + 2 * j, 6 + 2 * j) for j in range(1, k + 1)]
 
 
+def octahedron_with_ears_on_edge(k: int):
+    """The octahedron's 8 triangles plus k triangles {1, 3, 6 + j} (d = 3)."""
+    octa = [(a, b, c) for a in (1, 2) for b in (3, 4) for c in (5, 6)]
+    return 6 + k, octa + [(1, 3, 6 + j) for j in range(1, k + 1)]
+
+
 FAMILIES = [cycle_with_leaves, cycle_with_pendants, octahedron_with_triangles,
-            octahedron_with_triangles_at_vertex]
+            octahedron_with_triangles_at_vertex, octahedron_with_ears_on_edge]
 
 
 @pytest.mark.parametrize("family", FAMILIES)
@@ -404,7 +410,9 @@ def test_nonchordal_families_take_linear_states(family):
     # whose vertices fit the 64-bit masks, where the memo of the
     # unreduced search would hold 2^k states.  Reversed labels put the
     # non-chordal core after the extras in lex order, so that the search
-    # meets it last and takes exactly k + 1 states.
+    # meets it last and takes exactly k + 1 states.  The ears on one edge
+    # join the octahedron's component, and only the leaf cut keeps that
+    # family linear.
     k = max(k for k in range(41) if family(k)[0] <= 64)
     n, circuits = family(k)
     for labels in (circuits, [[n + 1 - v for v in c] for c in circuits]):

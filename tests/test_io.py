@@ -7,7 +7,7 @@ from enum import IntEnum
 from itertools import combinations
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import Phase, example, find, given, settings, strategies as st
 
 from clutterlab import (
     Clutter,
@@ -115,9 +115,14 @@ DICT_ROWS = st.lists(STRINGS | st.sampled_from(["i", "j", "value", "%d", "%%s"])
         lambda values: dict(zip(keys, values)))
     | st.permutations(keys).map(lambda order: dict.fromkeys(order, 1)),
     min_size=1))
+# Flat dicts of scalars, as a report's verdict blocks are: str, bool and
+# None values beside ints and floats, the writer's own-line branch.
+SCALAR_DICTS = st.dictionaries(STRINGS, st.none() | st.booleans() | INTS | STRINGS
+                               | st.floats(), min_size=1)
 LEAVES = (st.none() | st.booleans() | INTS | STRINGS | st.floats()
           | st.lists(INTS | st.booleans()) | ROWS | ROWS.map(tuple)
-          | st.lists(st.lists(INTS, max_size=3), min_size=1) | DICT_ROWS)
+          | st.lists(st.lists(INTS, max_size=3), min_size=1) | DICT_ROWS
+          | SCALAR_DICTS)
 KEYS = STRINGS | INTS | st.none() | st.booleans() | st.floats()
 REPORTS = st.recursive(
     LEAVES,
@@ -131,6 +136,10 @@ class ListSubclass(list):
 
 
 class DictSubclass(dict):
+    pass
+
+
+class StrSubclass(str):
     pass
 
 
@@ -175,8 +184,35 @@ class DictSubclass(dict):
 # int values and int lists written in a dict's own line, beside ones that
 # are not: a bool, an empty list, a list holding a bool, a tuple
 @example({"n": 5, "f": [1, 5, 10], "ok": True, "e": [], "b": [1, True], "t": (1, 2)})
+# str, bool and None values written in a dict's own line, beside a str
+# subclass and the floats equal to True and False, which are not
+@example({"s": "a\u00e9\n\"", "t": True, "f": False, "z": None, "e": "",
+          "u": StrSubclass("x"), "one": 1.0, "zero": 0.0, "d": {"s": "%d", "z": None}})
 def test_report_writer_is_json_dumps(value):
     assert dumps_report(value) == json.dumps(value, indent=2)
+
+
+def dict_value_kinds(value) -> set[type]:
+    """The types of the values of every str-keyed dict inside value."""
+    if type(value) is dict:
+        items = [*value.values()]
+        kinds = {*map(type, items)} if all(type(key) is str for key in value) else set()
+    elif type(value) in (list, tuple):
+        items, kinds = value, set()
+    else:
+        return set()
+    for item in items:
+        kinds |= dict_value_kinds(item)
+    return kinds
+
+
+@pytest.mark.parametrize("kind", [str, bool, type(None)])
+def test_report_strategy_puts_str_bool_and_none_in_dicts(kind):
+    # the writer's own-line branch for these values is reached by the
+    # strategy above, not only by its examples
+    assert find(REPORTS, lambda v: kind in dict_value_kinds(v),
+                settings=settings(database=None, derandomize=True,
+                                  phases=[Phase.generate])) is not None
 
 
 def test_report_writer_refuses_what_json_refuses():

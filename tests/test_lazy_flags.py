@@ -38,8 +38,10 @@ from test_deletion_driver import (
     FAMILIES,
     all_clutters,
     d_subsets,
+    octahedron_with_ears_on_edge,
     octahedron_with_triangles,
     picked,
+    ref_find_simplicial_order,
     split_clutter,
 )
 
@@ -310,25 +312,23 @@ def test_slices_hold_their_components_simplicial_elements(driver_inputs):
         assert simplicial == frozenset(EagerState(circuits, d).candidates())
 
 
-def octahedron_with_ears_on_edge(k: int):
-    """The octahedron's 8 triangles plus k triangles {1, 3, 6 + j} (d = 3)."""
-    octa = [(a, b, c) for a in (1, 2) for b in (3, 4) for c in (5, 6)]
-    return 6 + k, octa + [(1, 3, 6 + j) for j in range(1, k + 1)]
-
-
 @pytest.mark.parametrize("k", range(1, 7))
 def test_stuck_path_after_greedy_steps_agrees_under_every_budget(k):
     # The ears share the edge {1, 3} with the octahedron, so the input is
     # one component.  Greedy deletes ears before it gets stuck, and the
-    # driver then decides the whole component on a fresh state: it meets
-    # each of the 2^k subsets of the ears once.
+    # driver then decides the whole component on a fresh state.  It
+    # deletes the k ears through their leaves {1, 6 + j}, meets the bare
+    # octahedron, which fails, and the leaf cut fails each state above
+    # it: k + 1 states, where the cut-free driver meets all 2^k subsets
+    # of the ears.
     n, circuits = octahedron_with_ears_on_edge(k)
     c = make_clutter(n, 3, circuits)
     assert chordality.greedy_simplicial_order(c) is None
-    assert find_simplicial_order(c, 1 << k) is None
+    assert find_simplicial_order(c, k + 1) is None
     with pytest.raises(SearchLimitReached):
-        find_simplicial_order(c, (1 << k) - 1)
-    for budget in [None, *range((1 << k) + 2)]:
+        find_simplicial_order(c, k)
+    assert ref_find_simplicial_order(c) is None
+    for budget in [None, *range(k + 3)]:
         assert outcome(find_simplicial_order, c, budget) == \
             outcome(component_first_find, c, budget), (k, budget)
 

@@ -12,12 +12,14 @@ type with the same message and line.
 from __future__ import annotations
 
 import json
+import random
 from enum import IntEnum
 from itertools import combinations
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from clutterlab import Clutter, ClutterParseError, make_clutter, parse_clutter
+from clutterlab import Clutter, ClutterParseError, clutter, make_clutter, parse_clutter
 from clutterlab.clutter import MAX_VERTICES, verts_of
 
 
@@ -233,6 +235,23 @@ def test_make_clutter_agrees_with_the_loop(case):
     assert_make_agrees(n, d, [tuple(r) for r in rows])
     assert_make_agrees(n, d, rows, tuple)
     assert_make_agrees(n, d, rows, iter)
+
+
+@pytest.mark.parametrize("d", range(1, 7))
+def test_make_clutter_column_sums_are_the_row_masks(d, monkeypatch):
+    # the fast path adds one column of vertex bits to every row at a time;
+    # rows in canonical order keep it, shuffled ones go on to the sort.
+    # The per-circuit loop, the only mask_of caller, must not run.
+    monkeypatch.setattr(clutter, "mask_of", None)
+    rng = random.Random(f"columns/{d}")
+    for n in (d, d + 3, 20, 64):
+        rows = sorted({tuple(sorted(rng.sample(range(1, n + 1), d))) for _ in range(60)})
+        masks = tuple(map(_mask_of, rows))
+        shuffled = [rng.sample(row, d) for row in rng.sample(rows, len(rows))]
+        for given in (rows, shuffled):
+            for wrap in (list, tuple):
+                made = make_clutter(n, d, [wrap(row) for row in given])
+                assert made.circuit_masks == masks, (n, given, wrap)
 
 
 def test_parse_agrees_on_edge_texts():
