@@ -351,7 +351,7 @@ ones it flipped gives the exact flags from before the deletion.
 from collections import Counter
 from collections.abc import Callable, Collection, Iterable, Iterator
 from itertools import combinations, count, islice, repeat
-from operator import itemgetter
+from operator import and_, itemgetter, neg
 
 from .clutter import (
     Clutter,
@@ -663,8 +663,20 @@ def _deletion_sequences(live: _DeletionState, target: frozenset[int],
 
 
 def _order(steps: Iterable[tuple[int, int]]) -> SimplicialOrder:
+    """The witness of the steps, each element's vertices read off its mask.
+
+    All elements have d - 1 vertices.  An element's highest vertex is
+    its bit_length, and its lowest the bit_length of its low bit e & -e,
+    so elements of one vertex (d = 2) and of two (d = 3) are read by
+    C-level maps; other sizes, and the empty elements of d = 1, take
+    verts_of.
+    """
     elements, nbrs = [*zip(*steps)] or ((), ())
-    return SimplicialOrder(tuple(zip(map(verts_of, elements), map(int.bit_count, nbrs))))
+    size = elements[0].bit_count() if elements else 0
+    highs = map(int.bit_length, elements)
+    lows = map(int.bit_length, map(and_, elements, map(neg, elements)))
+    verts = zip(highs) if size == 1 else zip(lows, highs) if size == 2 else map(verts_of, elements)
+    return SimplicialOrder(tuple(zip(verts, map(int.bit_count, nbrs))))
 
 
 def _greedy(live: _DeletionState, most: int | None = None) -> list[tuple[int, int]]:

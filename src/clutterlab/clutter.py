@@ -92,20 +92,34 @@ class Record:
     __setattr__ = __delattr__ = _immutable
 
 
-class Clutter(Record):
+class _KeepsRows:
+    """A slot outside a record's fields, for rows its constructor already holds."""
+
+    __slots__ = ("_rows",)
+
+
+class Clutter(Record, _KeepsRows):
     """A d-uniform clutter on [n], circuits in canonical order.
 
     Fields n, d and circuit_masks, a tuple of ints sorted by the
     lexicographic order of the sorted vertex tuples, so equal clutters
     compare and hash equal and every iteration over circuits is
     deterministic.
+
+    A clutter that make_clutter or parse_clutter built from rows in
+    canonical order also keeps them, as fresh tuples, in a slot that is
+    not a field.  Each such row was checked to hold d distinct vertices,
+    strictly increasing, whose bits sum to its mask, so it is the sorted
+    vertex tuple of its mask, verts_of(mask), and circuits returns the
+    kept rows instead of rebuilding them.  Equality, hashing, repr,
+    pickling and copying see only the fields.
     """
 
     __slots__ = ("n", "d", "circuit_masks")
 
     @property
     def circuits(self) -> tuple[Vertices, ...]:
-        return tuple(map(verts_of, self.circuit_masks))
+        return getattr(self, "_rows", None) or tuple(map(verts_of, self.circuit_masks))
 
     @property
     def num_circuits(self) -> int:
@@ -181,6 +195,46 @@ def _check_vertex_range(n: int, vertices: Iterable[int]) -> None:
             raise ValueError(f"vertex {v!r} out of range 1..{n}")
 
 
+def _from_flat(n: int, d: int, flat: list[int]) -> Clutter | None:
+    """The clutter whose rows are flat's runs of d exact ints, or None.
+
+    flat holds d exact ints (no bools) per row, and n and d passed
+    _check_parameters.  All vertices must lie within 1..n, checked by
+    min and max; an empty flat fails that check.  A row's mask is then
+    the sum of its vertices' bits (_BITS[v] = mask_of((v,))), added
+    column by column: column j, the j-th vertex of every row, is one
+    slice of flat, and one C-level map(add, ...) adds its bits to all
+    the rows' running sums at once.  Adding a power of two to a sum
+    raises its popcount by one, less the number of carries, so a sum of
+    d powers of two has popcount d exactly when no addition carries,
+    that is, when no two are equal.  So every sum having popcount d
+    shows that every row names d distinct vertices and that its sum is
+    its mask.  When the rows also increase strictly within themselves
+    (each column below the next, slice against slice) and from row to
+    row (as clutter_to_text, generate and the JSON reports write them),
+    each row is verts_of of its mask and the rows are distinct and in
+    lexicographic order: the masks are already in canonical order, the
+    sort is skipped, and the rows, zipped afresh from the columns, are
+    kept on the clutter.  Otherwise the masks are sorted.  None means a
+    check failed: the callers' loops then raise the error with its usual
+    message.
+    """
+    if not (1 <= min(flat, default=0) and max(flat) <= n):
+        return None
+    cols = [flat[j::d] for j in range(d)]
+    sums = map(_BITS.__getitem__, cols[0])
+    for col in cols[1:]:
+        sums = map(add, sums, map(_BITS.__getitem__, col))
+    if {*map(int.bit_count, masks := [*sums])} != {d}:
+        return None
+    if all(all(map(lt, a, b)) for a, b in zip(cols, cols[1:])) and all(
+            map(lt, rows := (*zip(*cols),), rows[1:])):
+        made = Clutter(n, d, tuple(masks))
+        _KeepsRows._rows.__set__(made, rows)
+        return made
+    return Clutter(n, d, canonical_mask_order(masks))
+
+
 def make_clutter(n: int, d: int, circuits: Iterable[Iterable[int]]) -> Clutter:
     """Build a d-uniform clutter on [n] from vertex collections.
 
@@ -189,39 +243,19 @@ def make_clutter(n: int, d: int, circuits: Iterable[Iterable[int]]) -> Clutter:
     vertices outside 1..n, circuits of the wrong cardinality, or
     n > MAX_VERTICES.
 
-    A non-empty list of lists, or of tuples, is built by passes over all
-    its rows at once.  Each row must hold d exact ints (no bools) within
-    1..n, checked by one set of types and by min and max.  A row's mask
-    is then the sum of its vertices' bits (_BITS[v] = mask_of((v,))),
-    added column by column: column j, the j-th vertex of every row, is
-    one slice of the flattened rows, and one C-level map(add, ...) adds
-    its bits to all the rows' running sums at once.  Adding a power of
-    two to a sum raises its popcount by one, less the number of carries,
-    so a sum of d powers of two has popcount d exactly when no addition
-    carries, that is, when no two are equal.  So every sum having
-    popcount d shows that every row names d distinct vertices and that
-    its sum is its mask.  When the rows also increase strictly within
-    themselves (each column below the next, slice against slice) and
-    from row to row (as clutter_to_text, generate and the JSON reports
-    write them), each row is verts_of of its mask and the rows are
-    distinct and in lexicographic order, so the masks are already in
-    canonical order and the sort is skipped.  Any other input, or a
-    failed check, goes to the per-circuit loop, which raises every error
-    with its usual message.
+    A non-empty list of lists, or of tuples, of d exact ints each goes
+    to _from_flat, which builds it by passes over all its rows at once
+    and keeps its rows when they come in canonical order; the rows it
+    keeps are its own tuples, so changing the caller's lists later
+    changes nothing.  Any other input, or a failed check, goes to the
+    per-circuit loop, which raises every error with its usual message.
     """
     _check_parameters(n, d)
     if (type(circuits) is list and {*map(type, circuits)} in ({list}, {tuple})
             and {*map(len, circuits)} == {d}
             and {*map(type, flat := [*chain.from_iterable(circuits)])} == {int}
-            and 1 <= min(flat) and max(flat) <= n):
-        cols = [flat[j::d] for j in range(d)]
-        sums = map(_BITS.__getitem__, cols[0])
-        for col in cols[1:]:
-            sums = map(add, sums, map(_BITS.__getitem__, col))
-        if {*map(int.bit_count, masks := [*sums])} == {d}:
-            ordered = all(map(lt, circuits, circuits[1:])) and all(
-                all(map(lt, a, b)) for a, b in zip(cols, cols[1:]))
-            return Clutter(n, d, tuple(masks) if ordered else canonical_mask_order(masks))
+            and (made := _from_flat(n, d, flat))):
+        return made
     masks = []
     for circ in circuits:
         vs = tuple(circ)

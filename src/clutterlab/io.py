@@ -15,11 +15,15 @@ nested too deeply, or holding an integer too long, for Python to load.
 
 Text with no "#" is read in one pass over the whole text: its lines
 split into tokens, blank ones dropped, every token read by int, and one
-set of row widths checked against the header's d.  Text that fails any
-of these checks, or holds a "#", goes to the per-line loop, the one
-path that names a fault and its line.  Both paths, and the JSON form,
-build the clutter with make_clutter, whose own fast path and fallback
-are described there.
+set of row widths checked against the header's d.  The flat list of
+ints after the header then goes straight to clutter._from_flat, the
+function behind make_clutter's fast path, which makes the masks and,
+when the rows come in canonical order, keeps them on the clutter as
+its circuits, so a report's echo of the input reuses them.  Text that
+fails any of these checks, or holds a "#", goes to the per-line loop,
+the one path that names a fault and its line.  The loop and the JSON
+form build the clutter with make_clutter, whose own fast path and
+fallback are described there.
 
 Reports are written by dumps_report, which returns what
 json.dumps(value, indent=2) returns, byte for byte.
@@ -29,7 +33,7 @@ import json
 from itertools import chain, islice, repeat
 from json.encoder import encode_basestring_ascii
 
-from .clutter import Clutter, make_clutter
+from .clutter import Clutter, _check_parameters, _from_flat, make_clutter
 
 
 class ClutterParseError(ValueError):
@@ -87,7 +91,9 @@ def parse_clutter(text: str) -> Clutter:
         try:
             n, d, *values = map(int, chain.from_iterable(rows))
             if len(rows[0]) == 2 and {*map(len, islice(rows, 1, None))} <= {d}:
-                return make_clutter(n, d, [*zip(*[iter(values)] * d)] if values else [])
+                _check_parameters(n, d)
+                if made := _from_flat(n, d, values):
+                    return made
         except ValueError:
             pass  # the line loop below raises the same error, with its line
 

@@ -249,8 +249,8 @@ def lsequence_from_lambda(n: int, d: int, lam: Sequence[int]) -> LSequence:
             "of distinct sizes; only the complete clutter reaches index "
             f"{n - d + 1}, and it is excluded here")
     full = lam + [0] * (n - d + 1 - len(lam))  # lambda_1 .. lambda_{n-d+1}
-    # l_k = sigma_{n-d-k} minus the k+1 trailing entries of full
-    out = tuple(map(sub, alpha_sequence(n, d).sigma[-2::-1], accumulate(reversed(full))))
+    # l_k = sigma_{n-d-k} = C(d-1+k, d-1) minus the k+1 trailing entries of full
+    out = tuple(map(sub, map(comb, range(d - 1, n), repeat(d - 1)), accumulate(reversed(full))))
     if min(out) < 0:
         k = next(k for k, lk in enumerate(out) if lk < 0)
         raise UnrealizableLambda(f"l_{k} = {out[k]} < 0: lambda is not realizable")

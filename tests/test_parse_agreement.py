@@ -7,11 +7,18 @@ original per-line and per-circuit loops.  The loops are kept here
 verbatim as references: on every input below, the library returns an
 equal Clutter (equal masks in equal order), or raises the same exception
 type with the same message and line.
+
+A clutter built from canonical rows keeps them, and its circuits, its
+JSON echo, its repr, hash and pickle are those of the verts_of
+reference; the witness's element tuples, read off their masks without
+verts_of for one- and two-vertex elements, are verts_of's too.
 """
 
 from __future__ import annotations
 
+import copy
 import json
+import pickle
 import random
 from enum import IntEnum
 from itertools import combinations
@@ -20,7 +27,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from clutterlab import Clutter, ClutterParseError, clutter, make_clutter, parse_clutter
+from clutterlab.chordality import SimplicialOrder, _order
 from clutterlab.clutter import MAX_VERTICES, verts_of
+from clutterlab.io import clutter_to_json_dict
 
 
 # ----- reference implementations: the plain loops ---------------------------
@@ -281,3 +290,87 @@ def test_every_graph_on_four_vertices_in_every_order():
                     assert_parse_agrees(text)
                 assert make_clutter(4, 2, rows) == expected
                 assert make_clutter(4, 2, [tuple(r) for r in rows]) == expected
+
+
+# ----- kept rows: the circuits the parser already holds -----------------------
+
+
+def seeded_rows(rng, n, d):
+    """Up to 40 canonical d-subsets of [n], one of them holding vertex n."""
+    picks = {tuple(sorted(rng.sample(range(1, n + 1), d))) for _ in range(40)}
+    picks.add(tuple(sorted({n, *rng.sample(range(1, n), d - 1)})))
+    return sorted(picks)
+
+
+def assert_like_the_reference(made, rows) -> None:
+    """made agrees with the loop's clutter on rows, field for field and as an echo."""
+    ref = make_clutter_ref(made.n, made.d, rows)
+    reference_rows = tuple(map(verts_of, ref.circuit_masks))
+    assert made == ref and made.circuit_masks == ref.circuit_masks
+    assert made.circuits == reference_rows
+    assert clutter_to_json_dict(made) == {
+        "n": ref.n, "d": ref.d, "circuits": [*map(list, reference_rows)]}
+    assert hash(made) == hash(ref) and repr(made) == repr(ref)
+    for twin in (pickle.loads(pickle.dumps(made)), copy.copy(made), copy.deepcopy(made)):
+        assert twin == ref and twin.circuits == reference_rows
+    assert pickle.dumps(made) == pickle.dumps(ref)
+
+
+@pytest.mark.parametrize("d", range(1, 6))
+def test_kept_rows_are_the_verts_of_rows_in_every_input_form(d):
+    rng = random.Random(f"kept-rows/{d}")
+    for n in (d, d + 2, 17, 40, 64):
+        canonical = [list(r) for r in seeded_rows(rng, n, d)]
+        for form in ("canonical", "shuffled", "duplicated", "reversed", "comment"):
+            rows = [list(r) for r in canonical]
+            if form == "shuffled":
+                rng.shuffle(rows)
+            elif form == "duplicated":
+                rows.insert(rng.randrange(len(rows)), list(rng.choice(rows)))
+            elif form == "reversed":
+                rows = [r[::-1] for r in rows]
+            text = as_text(n, d, rows)
+            if form == "comment":
+                text = "# a comment\n" + text
+            built = [parse_clutter(text), parse_clutter(as_json(n, d, rows)),
+                     make_clutter(n, d, rows), make_clutter(n, d, [tuple(r) for r in rows])]
+            for made in built:
+                assert_like_the_reference(made, rows)
+                # rows are kept exactly when they come in canonical order
+                assert (getattr(made, "_rows", None) is not None) == (rows == canonical)
+
+
+def test_kept_rows_need_no_verts_of(monkeypatch):
+    rows = seeded_rows(random.Random("no-verts-of"), 64, 3)
+    text = as_text(64, 3, rows)
+    monkeypatch.setattr(clutter, "verts_of", None)
+    assert parse_clutter(text).circuits == tuple(rows)
+    assert make_clutter(64, 3, [list(r) for r in rows]).circuits == tuple(rows)
+
+
+def test_kept_rows_are_the_clutters_own():
+    rows = [[1, 2, 3], [1, 2, 4], [2, 3, 64]]
+    made = make_clutter(64, 3, rows)
+    rows[0][0], rows[1] = 9, [5, 6, 7]
+    rows.append([7, 8, 9])
+    assert made.circuits == ((1, 2, 3), (1, 2, 4), (2, 3, 64))
+    assert made == make_clutter_ref(64, 3, [(1, 2, 3), (1, 2, 4), (2, 3, 64)])
+    with pytest.raises(AttributeError):
+        made._rows = ()
+    with pytest.raises(AttributeError):
+        del made._rows
+
+
+@pytest.mark.parametrize("size", range(5))
+def test_order_tuples_are_verts_of_tuples(size):
+    rng = random.Random(f"order/{size}")
+    for top in (size + 1, 9, 64):
+        elements = [sum(1 << (v - 1) for v in rng.sample(range(1, top + 1), size))
+                    for _ in range(30)]
+        if size:
+            elements.append(sum(1 << (v - 1) for v in range(65 - size, 65)))  # vertex 64
+        steps = [(e, rng.getrandbits(64)) for e in elements]
+        expected = tuple((verts_of(e), nbr.bit_count()) for e, nbr in steps)
+        assert _order(steps) == SimplicialOrder(expected)
+        assert _order(iter(steps)).steps == expected
+    assert _order([]) == SimplicialOrder(())
