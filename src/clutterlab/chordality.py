@@ -30,8 +30,9 @@ below v; they are B's vertices below v too, so the tuples agree on
 their first j entries.  A's next entry is v.  B has a next entry, as
 |B| = |A| > j, and it is above v, as v is not in B.  So A's tuple is
 the smaller one.  Among sets of different sizes the key can disagree
-with the tuples ((1,) against (1, 2)), so only the deletion state,
-whose elements all have d-1 vertices, uses it.  Elements of at most one
+with the tuples ((1,) against (1, 2)), so only sets of one size are
+sorted by it: the deletion state's elements, all of d-1 vertices, and
+the circuits that homology relabels.  Elements of at most one
 vertex (d <= 2) need no key: the mask of {v} is 2^(v-1), so ascending
 masks are ascending vertices, and the state ranks them by a plain sort
 of the masks.
@@ -349,14 +350,15 @@ ones it flipped gives the exact flags from before the deletion.
 """
 
 from collections import Counter
-from collections.abc import Callable, Collection, Iterable, Iterator
-from itertools import combinations, count, islice, repeat
+from collections.abc import Iterable, Iterator
+from itertools import combinations, count, islice
 from operator import and_, itemgetter, neg
 
 from .clutter import (
     Clutter,
     Record,
     Vertices,
+    _rank_key,
     complete_clutter,
     mask_is_clique,
     mask_of,
@@ -424,34 +426,6 @@ def _circuits_through(e: int, nbr: int) -> list[int]:
         out.append(e | low)
         nbr ^= low
     return out
-
-
-def _bit_reversed_bytes() -> bytes:
-    """The translate table that reverses the 8 bits of each byte."""
-    table = [0]
-    for bit in (128, 64, 32, 16, 8, 4, 2, 1):
-        table += [b | bit for b in table]
-    return bytes(table)
-
-
-_REVERSED = _bit_reversed_bytes()
-
-
-def _rank_key(masks: Collection[int]) -> Callable[[int], bytes]:
-    """A sort key for the masks; descending, it puts masks of one size in lex order.
-
-    The key of a mask is its 8 little-endian bytes, each bit-reversed,
-    so vertex 1 is the first bit and vertex 64 the last; every key is
-    made by C-level calls before the sort, and the sort looks it up.
-    The order holds only among sets of one size (the module docstring
-    has the proof), which is why canonical_mask_order, which also sorts
-    ideal generators of mixed sizes, keeps verts_of.  The deletion state
-    calls it for d >= 3 only: masks of at most one vertex are already
-    in lex order by value.
-    """
-    keys = map(bytes.translate, map(int.to_bytes, masks, repeat(8), repeat("little")),
-               repeat(_REVERSED))
-    return dict(zip(masks, keys)).__getitem__
 
 
 class _DeletionState:

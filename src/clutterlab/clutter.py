@@ -12,8 +12,8 @@ mask representation is an internal convention shared with the sibling
 modules.
 """
 
-from collections.abc import Iterable
-from itertools import chain, combinations
+from collections.abc import Callable, Collection, Iterable
+from itertools import chain, combinations, repeat
 from operator import add, attrgetter, lt
 
 MAX_VERTICES = 64
@@ -173,6 +173,35 @@ class SquarefreeIdeal(Record):
 def canonical_mask_order(masks: Iterable[int]) -> tuple[int, ...]:
     """Deduplicate and sort masks by their sorted vertex tuples."""
     return tuple(sorted(set(masks), key=verts_of))
+
+
+def _bit_reversed_bytes() -> bytes:
+    """The translate table that reverses the 8 bits of each byte."""
+    table = [0]
+    for bit in (128, 64, 32, 16, 8, 4, 2, 1):
+        table += [b | bit for b in table]
+    return bytes(table)
+
+
+_REVERSED = _bit_reversed_bytes()
+
+
+def _rank_key(masks: Collection[int]) -> Callable[[int], bytes]:
+    """A sort key for the masks; descending, it puts masks of one size in lex order.
+
+    The key of a mask is its 8 little-endian bytes, each bit-reversed,
+    so vertex 1 is the first bit and vertex 64 the last; every key is
+    made by C-level calls before the sort, and the sort looks it up.
+    The order holds only among sets of one size (the chordality module
+    docstring has the proof), which is why canonical_mask_order, which
+    also sorts ideal generators of mixed sizes, keeps verts_of.  The
+    deletion state calls it for d >= 3 only: masks of at most one vertex
+    are already in lex order by value.  homology sorts the circuits it
+    relabels by it.
+    """
+    keys = map(bytes.translate, map(int.to_bytes, masks, repeat(8), repeat("little")),
+               repeat(_REVERSED))
+    return dict(zip(masks, keys)).__getitem__
 
 
 # ----- constructors -------------------------------------------------------

@@ -12,9 +12,13 @@ are those steps composed; `clutterlab invariants` walks the chain
 itself, so that one job builds f once and h once, and refuses what
 betti_from_multiset refuses before it reads the Betti numbers off h.
 The oracle f_vector_direct counts the faces of
-homology.clique_complex_faces instead.  The binomials of h_from_f and
-betti_from_h never take a negative argument, so they are math.comb,
-which is 0 for k > n.
+homology.clique_complex_faces instead.  h_from_f and betti_from_h
+take no binomials: h(t) = sum f_{i-1} t^i (1-t)^(delta-i) is built by
+Horner's rule in (1 - t), and the Betti expansion (1-t)^(n-delta) h(t)
+by n - delta more factors (1 - t).  Multiplying a coefficient list a by
+(1 - t) is the one pass a_k - a_{k-1}, so each step is a C-level
+map(sub, ...) over the list and its shift, and the chain does
+O(n^2) integer subtractions in all.
 
 Conventions.  An f-vector is the coefficient tuple of the f-polynomial
 f(t) = sum f_{i-1} t^i, so it reads (f_-1, f_0, ..., f_{delta-1}) with
@@ -28,6 +32,7 @@ its length fixes the projective dimension p.
 from collections import Counter
 from collections.abc import Iterable
 from math import comb
+from operator import sub
 
 from .clutter import Clutter, verts_of  # noqa: F401  perfbench/tracing.py patches this name here
 from .guards import F_VECTOR_DEFAULT, check_cap
@@ -103,14 +108,20 @@ def f_vector_direct(clutter: Clutter, max_n: int | None = None,
 
 
 def h_from_f(f: FVector) -> HVector:
-    """h-vector from an f-vector; delta is the f-vector's top index."""
+    """h-vector from an f-vector; delta is the f-vector's top index.
+
+    h(t) = sum_i f_{i-1} t^i (1-t)^(delta-i), by Horner's rule in (1 - t).
+    Once f_{-1}..f_{i-1} are taken in, the running polynomial a(t) is
+    sum_{j<=i} f_{j-1} t^j (1-t)^(i-j), and taking in f_i makes it
+    a(t) (1 - t) + f_i t^(i+1): coefficient k becomes a_k - a_{k-1}, and
+    f_i stands for the missing a_{i+1}.  After f_{delta-1} it is h(t).
+    """
     if not f or f[0] != 1:
         raise ValueError("an f-vector starts with f_-1 = 1")
-    delta = len(f) - 1
-    return tuple(
-        sum((-1) ** (k - i) * comb(delta - i, k - i) * f[i] for i in range(k + 1))
-        for k in range(delta + 1)
-    )
+    h = [1]
+    for entry in f[1:]:
+        h = [*map(sub, h + [entry], [0] + h)]
+    return tuple(h)
 
 
 def f_from_h(h: HVector, delta: int) -> FVector:
@@ -165,22 +176,19 @@ def _betti_from_expansion(coeffs: tuple[int, ...], d: int) -> BettiSequence:
 def betti_from_h(n: int, d: int, h: HVector, delta: int) -> BettiSequence:
     """Total Betti numbers of the circuit ideal from its h-vector.
 
-    Expands (1-t)^(n-delta) * h(t) and reads the alternating tail.
-    Raises ValueError when the expansion is not d-linear in shape,
-    which is how a non-linear-resolution input announces itself.
+    Expands (1-t)^(n-delta) * h(t), one factor (1 - t) at a time (each
+    turns coefficient k into a_k - a_{k-1}), and reads the alternating
+    tail.  Raises ValueError when the expansion is not d-linear in
+    shape, which is how a non-linear-resolution input announces itself.
     """
     if len(h) > delta + 1:
         raise ValueError(f"h-vector longer than delta + 1 = {delta + 1}")
     if delta > n:
         raise ValueError(f"delta = {delta} cannot exceed n = {n}")
-    m = n - delta
-    # Not tuple(generator): CPython grows such a tuple from 10 slots and
-    # shrinks it, which shuffles tuple free lists and raises peak memory.
-    expansion = tuple([
-        sum((-1) ** (k - i) * comb(m, k - i) * h[i] for i in range(min(k + 1, len(h))))
-        for k in range(m + len(h))
-    ])
-    return _betti_from_expansion(expansion, d)
+    expansion = list(h)
+    for _ in range(n - delta):
+        expansion = [*map(sub, expansion + [0], [0] + expansion)]
+    return _betti_from_expansion(tuple(expansion), d)
 
 
 def betti_from_multiset(n: int, d: int,

@@ -29,11 +29,11 @@ from clutterlab import (
     simplicial_multiset,
 )
 from clutterlab import chordality
-from clutterlab.clutter import mask_of, verts_of
+from clutterlab.clutter import _REVERSED, _rank_key, mask_of, verts_of
 
 def rank_sorted(masks: list[int]) -> list[int]:
-    """masks sorted by the deletion state's rank key, in descending order."""
-    return sorted(masks, key=chordality._rank_key(masks), reverse=True)
+    """masks sorted by the one-size lex key, in descending order."""
+    return sorted(masks, key=_rank_key(masks), reverse=True)
 
 
 @pytest.mark.parametrize("k", range(5))
@@ -56,7 +56,7 @@ def test_rank_key_orders_sets_with_vertex_64_lexicographically(k):
 
 
 def test_rank_key_table_reverses_each_byte():
-    assert chordality._REVERSED == bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
+    assert _REVERSED == bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
 
 
 def test_one_vertex_ranks_are_the_rank_key_order():

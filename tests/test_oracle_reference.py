@@ -8,17 +8,21 @@ ranked them afresh, the upward sweep after it, which read every face
 including the (d-2)-skeleton and pushed every child (with the XOR-basis
 insertion it called; its Bareiss fallback regrows the subset's complex
 and ranks it as the deleted _rational_ranks did),
-the rational homology it ranked with (fraction-free Bareiss
-elimination, with the cone-vertex test that skipped cones), the
-private clique-growing loop of f_vector_direct, and the direct
-polynomial expansions of the h-vector and the Betti numbers from a
-simplicial multiset, with the (1-t)^m helper they called (the Betti
-expansion now hands _betti_from_expansion its coefficient tuple, and
-the sweep builds the face-mask set that FaceList.all_masks gave).
-Today's code builds one clique complex per oracle call, ranks over
-GF(2) with a Bareiss fallback, and derives h and Betti from f through
-h_from_f and betti_from_h; it must return exactly what the references
-return, and raise ValueError exactly where they do.
+the rational homology it ranked, with the cone-vertex test that
+skipped cones, the private clique-growing loop of f_vector_direct,
+the direct polynomial expansions of the h-vector and the Betti numbers
+from a simplicial multiset, with the (1-t)^m helper they called (the
+Betti expansion now hands _betti_from_expansion its coefficient tuple,
+and the sweep builds the face-mask set that FaceList.all_masks gave),
+and the double sums of signed binomials that h_from_f and betti_from_h
+took before they multiplied by (1 - t) one factor at a time.  One
+reference is not an earlier implementation: the rank over Q is plain
+Gaussian elimination on Fractions, since the earlier Bareiss loop
+skipped the same rows as the library's and agreed with it where both
+were wrong.  Today's code builds one clique complex per oracle call,
+ranks over GF(2) with a Bareiss fallback, and derives h and Betti from
+f through h_from_f and betti_from_h; it must return exactly what the
+references return, and raise ValueError exactly where they do.
 """
 
 from __future__ import annotations
@@ -29,6 +33,7 @@ import sys
 from bisect import bisect_left
 from collections import Counter
 from collections.abc import Iterable
+from fractions import Fraction
 from itertools import combinations
 from math import comb
 from pathlib import Path
@@ -36,12 +41,15 @@ from pathlib import Path
 import pytest
 
 from clutterlab import (
+    betti_from_h,
     betti_from_multiset,
     clique_complex_faces,
     clutter_from_masks,
     complete_clutter,
     delta_from_multiset,
     f_vector_direct,
+    f_vector_from_multiset,
+    h_from_f,
     h_vector_from_multiset,
     hochster_betti,
     make_clutter,
@@ -106,34 +114,24 @@ def ref_clique_complex_faces(clutter: Clutter, within: Iterable[int],
 
 
 def ref_integer_matrix_rank(rows: list[list[int]]) -> int:
-    """Rank over the rationals by fraction-free (Bareiss) elimination."""
-    mat = [row[:] for row in rows if any(row)]
-    if not mat:
-        return 0
-    ncols = len(mat[0])
+    """Rank over the rationals by Gaussian elimination on Fractions.
+
+    Independent of the library's Bareiss elimination: every division is
+    exact in Q, so no rescaling rule can go wrong.
+    """
+    mat = [[Fraction(x) for x in row] for row in rows]
     rank = 0
-    prev = 1
-    row = 0
-    for col in range(ncols):
-        pivot = next((r for r in range(row, len(mat)) if mat[r][col]), None)
+    for col in range(len(mat[0]) if mat else 0):
+        pivot = next((r for r in range(rank, len(mat)) if mat[r][col]), None)
         if pivot is None:
             continue
-        mat[row], mat[pivot] = mat[pivot], mat[row]
-        p = mat[row][col]
-        for r in range(row + 1, len(mat)):
-            factor = mat[r][col]
-            if factor == 0 and prev == 1:
-                continue
-            line = mat[r]
-            top = mat[row]
-            for c in range(col + 1, ncols):
-                line[c] = (p * line[c] - factor * top[c]) // prev
-            line[col] = 0
-        prev = p
+        mat[rank], mat[pivot] = mat[pivot], mat[rank]
+        top = mat[rank]
+        for line in mat[rank + 1:]:
+            ratio = line[col] / top[col]
+            for c in range(col, len(top)):
+                line[c] -= ratio * top[c]
         rank += 1
-        row += 1
-        if row == len(mat):
-            break
     return rank
 
 
@@ -462,6 +460,36 @@ def ref_betti_from_multiset(n: int, d: int,
     return _betti_from_expansion((poly + tail.shift(d - 1)).coeffs, d)
 
 
+def ref_h_from_f(f):
+    """h-vector from an f-vector; delta is the f-vector's top index."""
+    if not f or f[0] != 1:
+        raise ValueError("an f-vector starts with f_-1 = 1")
+    delta = len(f) - 1
+    return tuple(
+        sum((-1) ** (k - i) * comb(delta - i, k - i) * f[i] for i in range(k + 1))
+        for k in range(delta + 1)
+    )
+
+
+def ref_betti_from_h(n: int, d: int, h, delta: int):
+    """Total Betti numbers of the circuit ideal from its h-vector.
+
+    Expands (1-t)^(n-delta) * h(t) and reads the alternating tail.
+    Raises ValueError when the expansion is not d-linear in shape,
+    which is how a non-linear-resolution input announces itself.
+    """
+    if len(h) > delta + 1:
+        raise ValueError(f"h-vector longer than delta + 1 = {delta + 1}")
+    if delta > n:
+        raise ValueError(f"delta = {delta} cannot exceed n = {n}")
+    m = n - delta
+    expansion = tuple([
+        sum((-1) ** (k - i) * comb(m, k - i) * h[i] for i in range(min(k + 1, len(h))))
+        for k in range(m + len(h))
+    ])
+    return _betti_from_expansion(expansion, d)
+
+
 # ----- comparisons -------------------------------------------------------------
 
 
@@ -743,6 +771,44 @@ def test_bareiss_agrees_on_random_integer_matrices():
         assert homology.integer_matrix_rank(mat) == ref_integer_matrix_rank(mat), mat
 
 
+def test_bareiss_rescales_every_row_it_must():
+    # A row with a zero below the pivot is (p * row) // prev all the same,
+    # and equals itself only when p == prev.  Skipping it whenever
+    # prev == 1 read the first matrix as rank 3, and skipping it in the
+    # reference too hid that from the random test above; the second
+    # (determinant -306) is where the fixed rule parted from that reference.
+    first = [[1, 1, -1, -1], [0, 0, 0, 1], [-1, 1, 1, 1], [0, 0, 1, 0]]
+    second = [[0, 1, 0, 0, 0], [4, 3, -2, 3, 3], [-2, -1, 0, 0, 4], [-2, -4, 5, 0, 2],
+              [0, 5, 0, 3, 0]]
+    assert homology.integer_matrix_rank(first) == ref_integer_matrix_rank(first) == 4
+    assert homology.integer_matrix_rank(second) == ref_integer_matrix_rank(second) == 5
+
+
+# A 33-circuit (9,3) clutter whose sweep falls back to Bareiss on
+# matrices that the skipping rule ranked too low: it booked beta_{4,8} = 27
+# and beta_{5,8} = 23.
+FALLBACK_9_3 = make_clutter(9, 3, [
+    (1, 2, 7), (1, 2, 8), (1, 2, 9), (1, 3, 7), (1, 3, 8), (1, 3, 9), (1, 4, 5), (1, 4, 7),
+    (1, 5, 8), (1, 6, 7), (1, 6, 9), (1, 7, 9), (2, 3, 5), (2, 3, 7), (2, 3, 8), (2, 5, 7),
+    (2, 6, 8), (3, 4, 5), (3, 4, 8), (3, 4, 9), (3, 5, 9), (3, 7, 9), (3, 8, 9), (4, 5, 6),
+    (4, 5, 8), (4, 6, 7), (4, 6, 9), (4, 7, 9), (5, 6, 7), (5, 6, 9), (5, 7, 8), (5, 7, 9),
+    (5, 8, 9)])
+
+
+def test_bareiss_fallback_gives_the_exact_9_3_table(monkeypatch):
+    bareiss = CountCalls(homology.integer_matrix_rank)
+    monkeypatch.setattr(homology, "integer_matrix_rank", bareiss)
+    table = hochster_betti(FALLBACK_9_3)
+    assert bareiss.calls > 0
+    assert table.entries == (
+        ((0, 3), 51), ((1, 4), 181), ((1, 5), 7), ((2, 5), 273), ((2, 6), 27),
+        ((3, 6), 217), ((3, 7), 40), ((4, 7), 95), ((4, 8), 28), ((5, 8), 24),
+        ((5, 9), 7), ((6, 9), 3))
+    assert table == ref_hochster_betti(FALLBACK_9_3)  # ranked on Fractions, all 512 subsets
+    faces = clique_complex_faces(FALLBACK_9_3, range(1, 10))
+    assert hochster_betti(FALLBACK_9_3, faces=faces) == table  # on the input's own labels
+
+
 def outcome(fn, *args):
     """A function's result, or the fact that it raised ValueError."""
     try:
@@ -751,20 +817,60 @@ def outcome(fn, *args):
         return ValueError
 
 
-def test_formulas_agree_on_small_multisets():
-    defined = 0
+def small_multisets():
+    """(n, d, multiset) for n < 10, every d up to n + 2 and up to 3 sizes.
+
+    d = n + 2 leaves f shorter than delta + 1, and the sizes 0 and
+    n - d + 2 are out of range, so the formulas must raise on them.
+    """
     for n in range(1, 10):
-        for d in range(1, n + 3):  # d = n + 2 leaves f shorter than delta + 1
-            # sizes 0 and n - d + 2 are out of range and must raise
+        for d in range(1, n + 3):
             sizes = range(0, n - d + 3)
             for k in range(4):
                 for pick in itertools.combinations_with_replacement(sizes, k):
-                    ms = Counter(pick)
-                    h = outcome(h_vector_from_multiset, n, d, ms)
-                    assert h == outcome(ref_h_vector_from_multiset, n, d, ms), (n, d, ms)
-                    delta = outcome(delta_from_multiset, n, d, ms)
-                    assert delta == outcome(ref_delta, n, d, ms), (n, d, ms)
-                    betti = outcome(betti_from_multiset, n, d, ms)
-                    assert betti == outcome(ref_betti_from_multiset, n, d, ms), (n, d, ms)
-                    defined += betti is not ValueError
+                    yield n, d, Counter(pick)
+
+
+def test_formulas_agree_on_small_multisets():
+    defined = 0
+    for n, d, ms in small_multisets():
+        h = outcome(h_vector_from_multiset, n, d, ms)
+        assert h == outcome(ref_h_vector_from_multiset, n, d, ms), (n, d, ms)
+        delta = outcome(delta_from_multiset, n, d, ms)
+        assert delta == outcome(ref_delta, n, d, ms), (n, d, ms)
+        betti = outcome(betti_from_multiset, n, d, ms)
+        assert betti == outcome(ref_betti_from_multiset, n, d, ms), (n, d, ms)
+        defined += betti is not ValueError
     assert defined > 1000
+
+
+def said(fn, *args):
+    """A function's result, or the message of the ValueError it raised."""
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+def test_chain_steps_agree_with_the_double_sums_on_small_multisets():
+    # h_from_f and betti_from_h multiply by (1 - t) one factor at a time;
+    # the double sums of signed binomials give the same values and raise
+    # the same messages.  Every delta from one below the h-vector's top
+    # index to n + 1 reaches both of betti_from_h's own refusals, and the
+    # f-vectors with a wrong f_-1 reach h_from_f's.
+    steps = raised = 0
+    for n, d, ms in small_multisets():
+        f = outcome(f_vector_from_multiset, n, d, ms)
+        if f is ValueError:
+            continue
+        for bad in ((), (0,) + f[1:], (2,) + f[1:], f[1:]):
+            assert said(h_from_f, bad) == said(ref_h_from_f, bad), (n, d, ms, bad)
+        h = h_from_f(f)
+        assert h == ref_h_from_f(f), (n, d, ms)
+        for delta in range(len(h) - 2, n + 2):
+            for given in (h, h[:-1]):
+                betti = said(betti_from_h, n, d, given, delta)
+                assert betti == said(ref_betti_from_h, n, d, given, delta), (n, d, ms, delta)
+                steps += 1
+                raised += isinstance(betti, str)
+    assert steps > 10000 and 1000 < raised < steps
