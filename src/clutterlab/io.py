@@ -157,21 +157,26 @@ def dumps_report(value: object) -> str:
     With indent set, json.dumps runs the pure-Python encoder, which
     yields a few pieces per value.  This writer walks non-empty lists,
     tuples and str-keyed dicts itself, as that encoder does, and writes
-    the bulk of a report in single passes: a list of exact ints with one
-    join, and a list or tuple of equal-width, non-empty lists or tuples
-    of exact ints (the echoed circuits, the order's elements) as one
-    "%d" row template, repeated by one join and filled by one %-format
-    over all the ints.  A list or tuple of dicts that all have the same
-    str keys in the same order, at least one, and only exact ints for
-    values (the graded Betti entries) is one such template too, its
-    keys' "%" doubled.  In a dict, a value that is an exact int, an
-    exact str, a bool, None or a non-empty list of exact ints is written
-    in the key's line without a recursive call.  Any other container (empty, a subclass, a dict
-    with a key that is not a str) goes whole to json.dumps(value,
-    indent=2), its lines shifted to the current depth; a JSON string
-    holds no raw newline, so every newline it writes starts a line.  It
-    writes true, false and null itself, and every other scalar goes to
-    json.dumps, which writes a scalar on one line whatever the indent.
+    the bulk of a report in single passes: a list or tuple of exact ints
+    (lambda, the f-vector, the l-sequence) as one "%d" template, its
+    cells joined once and filled by one %-format, and a list or tuple of
+    equal-width, non-empty lists or tuples of exact ints (the echoed
+    circuits, the order's elements) as one "%d" row template, repeated
+    by one join and filled by one %-format over all the ints.  "%d"
+    writes an exact int as int.__repr__ does, and past the interpreter's
+    digit limit for int-to-str conversion both raise the same
+    ValueError.  A list or tuple of dicts that all have the same str
+    keys in the same order, at least one, and only exact ints for values
+    (the graded Betti entries) is one such template too, its keys' "%"
+    doubled.  In a dict, a value that is an exact int, an exact str, a
+    bool, None or a non-empty list of exact ints is written in the key's
+    line without a recursive call, the list as one "%d" template.  Any
+    other container (empty, a subclass, a dict with a key that is not a
+    str) goes whole to json.dumps(value, indent=2), its lines shifted to
+    the current depth; a JSON string holds no raw newline, so every
+    newline it writes starts a line.  It writes true, false and null
+    itself, and every other scalar goes to json.dumps, which writes a
+    scalar on one line whatever the indent.
     """
     out: list[str] = []
     _write(value, "\n", out)
@@ -188,7 +193,8 @@ def _write(value: object, newline: str, out: list[str]) -> None:
     elif (kind is list or kind is tuple) and value:
         inner = newline + "  "
         if (kinds := {*map(type, value)}) == {int}:
-            out.append(f"[{inner}{(',' + inner).join(map(int.__repr__, value))}{newline}]")
+            cells = (',' + inner).join(['%d'] * len(value))
+            out.append(f"[{inner}{cells}{newline}]" % tuple(value))
             return
         # rows of one shape: lists or tuples of one width, or dicts of one
         # str key order, each cell an exact int
@@ -223,7 +229,8 @@ def _write(value: object, newline: str, out: list[str]) -> None:
             elif kind is bool or item is None:
                 out.append("null" if item is None else "true" if item else "false")
             elif kind is list and {*map(type, item)} == {int}:
-                out.append(f"[{inner}  {(',' + inner + '  ').join(map(int.__repr__, item))}{inner}]")
+                cells = (',' + inner + '  ').join(['%d'] * len(item))
+                out.append(f"[{inner}  {cells}{inner}]" % tuple(item))
             else:
                 _write(item, inner, out)
             sep = "," + inner

@@ -12,11 +12,18 @@ profiles attaining the per-index maximum, and the generator-count
 identity used to cross-check strongly stable ideals.
 
 The arithmetic runs as C-level passes over math.comb where it can.
-is_M_sequence warm-starts each top of a Macaulay representation from
+The growth check warm-starts each top of a Macaulay representation from
 the one found before it, which Macaulay's theorem (1927) makes sound
 and close: C(t, k) strictly increases in t >= k, so any start finds the
 same largest top, and l_{i+1} <= l_i^<i> < C(a_i + 2, i + 1), a_i the
 first top of l_i, puts the first top of l_{i+1} at most a_i + 1.
+
+A lambda trimmed to k entries touches only the last k entries of its
+l-sequence.  The head below h = n-d+1-k is C(d-1+j, j), the Hilbert
+function of K[x_1..x_d], which meets every growth bound with equality:
+C(d-1+i, i)^<i> = C(d+i, i+1).  So lsequence_from_lambda subtracts and
+sign-checks only the tail, and validate_lambda checks the growth bound
+from index h on, at a cost set by lambda's nonzero tail.
 """
 
 from collections.abc import Iterable, Sequence
@@ -102,22 +109,34 @@ def is_M_sequence(seq: Sequence[int]) -> bool:
     """True for l_0 = 1 and l_{i+1} <= l_i^<i> for i = 1, 2, ....
 
     The step from l_0 to l_1 is unconstrained (any number of variables
-    may appear in degree one); all entries must be non-negative.
-
-    Each l_i^<i> is summed term by term from l_i's representation, and
-    only until it reaches l_{i+1}.  The search for l_i's first top
-    starts at l_{i-1}'s first top + 1, and each later top at the one
-    before it - 1.  Any start gives the same top (see _top), and these
-    are close: l_{i-1}^<i-1> is itself a representation at index i with
-    top a_{i-1} + 1, so l_{i-1}^<i-1> < C(a_{i-1} + 2, i), and
-    l_i <= l_{i-1}^<i-1> forces a_i <= a_{i-1} + 1.  When that bound
-    fails, the function has returned False before the search.
+    may appear in degree one); all entries must be non-negative.  The
+    growth bounds are checked by _within_growth_bounds from i = 1.  An
+    entry C(d-1+i, i), the Hilbert function of K[x_1..x_d], has the
+    one-term representation (d-1+i, i) and the bound C(d+i, i+1), the
+    next such entry: a run of them meets every bound with equality,
+    which lets validate_lambda start past its l-sequence's head.
     """
     ls = tuple(seq)
     if not ls or ls[0] != 1 or not all(map(isinstance, ls, repeat(int))) or min(ls) < 0:
         return False
-    top = 0  # l_{i-1}'s first top; 0 makes l_1's search start at 1
-    for i in range(1, len(ls) - 1):
+    return _within_growth_bounds(ls, 1, 0)
+
+
+def _within_growth_bounds(ls: LSequence, first: int, top: int) -> bool:
+    """l_{i+1} <= l_i^<i> for i = first, ..., len(ls) - 2.
+
+    ls holds non-negative ints, first >= 1, and top is l_{first-1}'s
+    first top, or any top >= 0 when first = 1, as l_0 has none.  Each
+    l_i^<i> is summed term by term from l_i's representation, and only
+    until it reaches l_{i+1}.  The search for l_i's first top starts at
+    l_{i-1}'s first top + 1, and each later top at the one before it - 1.
+    Any start gives the same top (see _top), and these are close:
+    l_{i-1}^<i-1> is itself a representation at index i with top
+    a_{i-1} + 1, so l_{i-1}^<i-1> < C(a_{i-1} + 2, i), and
+    l_i <= l_{i-1}^<i-1> forces a_i <= a_{i-1} + 1.  When that bound
+    fails, the function has returned False before the search.
+    """
+    for i in range(first, len(ls) - 1):
         rest, nxt = ls[i], ls[i + 1]
         bound, idx, start = 0, i, top + 1
         while rest and bound < nxt:
@@ -229,13 +248,22 @@ def lambda_from_lsequence(n: int, d: int, l: Sequence[int]) -> tuple[int, ...]:
 def lsequence_from_lambda(n: int, d: int, lam: Sequence[int]) -> LSequence:
     """Invert lambda_from_lsequence.
 
-    l_k = sigma_{n-d-k} - (lambda_{n-d-k+1} + ... + lambda_{n-d+1}) for
-    k = 0..n-d.  The input may be trimmed; anything longer than n-d
-    entries means the clutter would have to be complete, which has no
-    l-sequence, so that raises.  A negative l_k raises
-    UnrealizableLambda with the first offending index.  Parameters
-    outside 1 <= d < n raise ValueError before any other check.
+    l_j = sigma_{n-d-j} - (lambda_{n-d-j+1} + ... + lambda_{n-d+1}) for
+    j = 0..n-d, where sigma_{n-d-j} = C(d-1+j, d-1).  The input may be
+    trimmed; anything longer than n-d entries means the clutter would
+    have to be complete, which has no l-sequence, so that raises.  With
+    lambda trimmed to k entries, the sums vanish below h = n-d+1-k, so
+    the head l_0..l_{h-1} is C(d-1+j, d-1) >= 1, the Hilbert function
+    of K[x_1..x_d], and only the k tail entries are subtracted and
+    checked for sign.  A negative l_j raises UnrealizableLambda with
+    the first offending index.  Parameters outside 1 <= d < n raise
+    ValueError before any other check.
     """
+    return _split_lsequence(n, d, lam)[0]
+
+
+def _split_lsequence(n: int, d: int, lam: Sequence[int]) -> tuple[LSequence, int]:
+    """lsequence_from_lambda's l-sequence, and the length h of its head."""
     if not 1 <= d < n:
         raise ValueError(f"need 1 <= d < n, got d={d}, n={n}")
     lam = list(lam)
@@ -248,13 +276,12 @@ def lsequence_from_lambda(n: int, d: int, lam: Sequence[int]) -> LSequence:
             f"lambda_{len(lam)} > 0 needs more than n - d = {n - d} deletions "
             "of distinct sizes; only the complete clutter reaches index "
             f"{n - d + 1}, and it is excluded here")
-    full = lam + [0] * (n - d + 1 - len(lam))  # lambda_1 .. lambda_{n-d+1}
-    # l_k = sigma_{n-d-k} = C(d-1+k, d-1) minus the k+1 trailing entries of full
-    out = tuple(map(sub, map(comb, range(d - 1, n), repeat(d - 1)), accumulate(reversed(full))))
-    if min(out) < 0:
-        k = next(k for k, lk in enumerate(out) if lk < 0)
-        raise UnrealizableLambda(f"l_{k} = {out[k]} < 0: lambda is not realizable")
-    return out
+    h = n - d + 1 - len(lam)
+    tail = [*map(sub, map(comb, range(d - 1 + h, n), repeat(d - 1)), accumulate(reversed(lam)))]
+    if tail and min(tail) < 0:
+        j = next(j for j, lj in enumerate(tail) if lj < 0)
+        raise UnrealizableLambda(f"l_{h + j} = {tail[j]} < 0: lambda is not realizable")
+    return (*map(comb, range(d - 1, d - 1 + h), repeat(d - 1)), *tail), h
 
 
 class LambdaDiagnosis(Record):
@@ -273,18 +300,24 @@ def validate_lambda(n: int, d: int, lam: Sequence[int]) -> LambdaDiagnosis:
     Valid means: the l-sequence exists (no negative entry), is an
     M-sequence, and has l_1 <= d.  Exactly the lambda-sequences of
     chordal d-uniform clutters on [n] other than the complete one pass.
+
+    l_1 <= d needs no check: an l-sequence exists only for lambda with
+    at most n-d entries, so lambda_{n-d+1} = 0 and l_1 = d - lambda_{n-d}.
+    The growth bound is checked from index h only, h >= 1 the length of
+    the head of lsequence_from_lambda, warm-started at l_{h-1}'s first
+    top d-2+h.  The bounds below h are met: the head entry
+    l_i = C(d-1+i, i) has the one-term representation (d-1+i, i), so
+    l_i^<i> = C(d+i, i+1) is the untouched value at i+1.  Inside the
+    head that is l_{i+1}, with equality, and at i = h-1 it is >= l_h,
+    which subtracts a non-negative sum of lambda's entries from it.
     """
     try:
-        ls = lsequence_from_lambda(n, d, lam)
+        ls, h = _split_lsequence(n, d, lam)
     except (UnrealizableLambda, ValueError) as exc:
         return LambdaDiagnosis(False, str(exc), None)
-    if not is_M_sequence(ls):
+    if not _within_growth_bounds(ls, h, d - 2 + h):
         return LambdaDiagnosis(
             False, f"recovered l-sequence {ls} violates the Macaulay growth bound", ls)
-    if len(ls) > 1 and ls[1] > d:
-        return LambdaDiagnosis(
-            False, f"l_1 = {ls[1]} exceeds d = {d}: too many degree-(d+1) "
-            "generator columns", ls)
     return LambdaDiagnosis(True, None, ls)
 
 

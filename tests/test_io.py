@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import sys
 from enum import IntEnum
 from itertools import combinations
 
@@ -184,6 +185,13 @@ class StrSubclass(str):
 # int values and int lists written in a dict's own line, beside ones that
 # are not: a bool, an empty list, a list holding a bool, a tuple
 @example({"n": 5, "f": [1, 5, 10], "ok": True, "e": [], "b": [1, True], "t": (1, 2)})
+# int lists as one "%d" template: one entry, at depth 0, in a dict's line
+# and as a tuple; ints of 4000 digits, the CLI's lambda cap; and int lists
+# in a dict at depth 2 and 3
+@example([7])
+@example({"l": [7], "t": (7,)})
+@example({"lambda": [10**3999, -(10**3999) + 1], "rows": [[10**3999]]})
+@example({"a": {"b": [1, 2, 3]}, "c": [{"d": [4]}, {"e": {"f": [5, -6]}}]})
 # str, bool and None values written in a dict's own line, beside a str
 # subclass and the floats equal to True and False, which are not
 @example({"s": "a\u00e9\n\"", "t": True, "f": False, "z": None, "e": "",
@@ -220,6 +228,19 @@ def test_report_writer_refuses_what_json_refuses():
         with pytest.raises(TypeError):
             json.dumps(bad, indent=2)
         with pytest.raises(TypeError):
+            dumps_report(bad)
+
+
+@pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", int)(),
+                    reason="this interpreter converts ints of any length")
+def test_report_writer_refuses_an_int_json_refuses():
+    # past the interpreter's digit limit for int-to-str conversion, "%d"
+    # raises the ValueError that int.__repr__ raises in json.dumps
+    huge = 10 ** (sys.get_int_max_str_digits() + 100)
+    for bad in ([huge], {"a": [1, huge]}, {"a": {"b": [huge]}}, [[1, huge]]):
+        with pytest.raises(ValueError):
+            json.dumps(bad, indent=2)
+        with pytest.raises(ValueError):
             dumps_report(bad)
 
 

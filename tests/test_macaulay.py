@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 from fractions import Fraction
 from functools import cache
 from itertools import product
@@ -41,6 +42,7 @@ from clutterlab import (
     strongly_stable_closure,
     validate_lambda,
 )
+from clutterlab import macaulay
 from clutterlab.macaulay import _top
 from clutterlab.polynomials import IntPolynomial, binom
 
@@ -384,6 +386,79 @@ def test_validate_lambda():
     assert not diag.valid
     # negative entries rejected cleanly
     assert not is_valid_lambda(5, 3, (-1, 2))
+
+
+def validate_ref(n: int, d: int, lam) -> tuple:
+    """Reference (valid, reason, l_sequence): the whole l-sequence from
+    lsequence_ref, every growth bound from is_M_sequence_ref, then l_1."""
+    try:
+        ls = lsequence_ref(n, d, lam)
+    except ValueError as exc:  # UnrealizableLambda included
+        return False, str(exc), None
+    if not is_M_sequence_ref(ls):
+        return False, f"recovered l-sequence {ls} violates the Macaulay growth bound", ls
+    if len(ls) > 1 and ls[1] > d:
+        return False, f"l_1 = {ls[1]} exceeds d = {d}", ls
+    return True, None, ls
+
+
+def diagnosis(n: int, d: int, lam) -> tuple:
+    diag = validate_lambda(n, d, lam)
+    return diag.valid, diag.reason, diag.l_sequence
+
+
+def test_validate_lambda_matches_reference_on_small_input():
+    # every lambda of length <= 3 with entries <= 7, on every (n, d) with n <= 7
+    for n in range(2, 8):
+        for d in range(1, n):
+            for size in range(4):
+                for lam in product(range(8), repeat=size):
+                    assert diagnosis(n, d, lam) == validate_ref(n, d, lam), (n, d, lam)
+
+
+def test_validate_lambda_matches_reference_near_extremal_profiles():
+    # every extremal profile and each +-1 change of each of its entries:
+    # valid lambdas, growth failures, and sign or argument refusals
+    kinds = Counter()
+    for n in range(2, 25):
+        for d in range(1, n):
+            for i in range(1, n - d + 1):
+                profile = extremal_lambda_profile(n, d, i)
+                changed = [profile[:j] + (profile[j] + step,) + profile[j + 1:]
+                           for j in range(i) for step in (-1, 1)]
+                for lam in (profile, *changed):
+                    valid, reason, ls = validate_ref(n, d, lam)
+                    assert diagnosis(n, d, lam) == (valid, reason, ls), (n, d, lam)
+                    kinds["valid" if valid else "refused" if ls is None else "growth"] += 1
+    assert kinds == {"valid": 4600, "growth": 10626, "refused": 16974}
+
+
+@given(st.data(), st.integers(2, 40))
+def test_validate_lambda_matches_reference(data, n):
+    d = data.draw(st.integers(1, n - 1))
+    top = comb(n - 1, d - 1) + 2
+    entry = (st.integers(0, 2) | st.integers(0, top) | st.integers(-2, 0)
+             | st.sampled_from([True, 1.0, None]))
+    lam = data.draw(st.lists(entry, max_size=n - d + 2))
+    assert diagnosis(n, d, lam) == validate_ref(n, d, lam)
+
+
+def test_validate_lambda_searches_no_top_below_the_tail(monkeypatch):
+    # lambda = () leaves the whole l-sequence 1, 9, 45, ... in the head,
+    # which meets every growth bound with equality: no top is searched
+    calls = []
+
+    def counted_top(*args):
+        calls.append(args)
+        return _top(*args)
+
+    monkeypatch.setattr(macaulay, "_top", counted_top)
+    diag = validate_lambda(400, 9, ())
+    assert diag.valid and diag.reason is None
+    assert diag.l_sequence == tuple(comb(8 + j, j) for j in range(392))
+    assert calls == []
+    # the full check of the same sequence searches a top at every index
+    assert is_M_sequence(diag.l_sequence) and len(calls) >= 390
 
 
 def test_lambda_max_examples():
